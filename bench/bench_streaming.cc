@@ -531,7 +531,7 @@ int main(int argc, char** argv) {
   // the gate pins) and a tree-vs-brute-scan constant for whichever
   // engine happens to straddle the threshold. The throughput cells
   // below keep the default threshold — the O(n/S) maintenance work cut
-  // is a brute-tail property, and lowering the threshold everywhere
+  // is a brute-scan property, and lowering the threshold everywhere
   // would shrink the very scan the scaling gate measures.
   iim::core::IimOptions qopt = opt;
   qopt.index_kdtree_threshold = 256;
@@ -1016,9 +1016,9 @@ int main(int argc, char** argv) {
   std::printf("%-34s %12.6f ms (window %zu)\n", "explicit eviction",
               half_evict_mean * 1e3, n_half);
   iim::stream::DynamicIndex::Stats histats = hengine->index().stats();
-  std::printf("%-34s %12.2fx (1.0 = flat in window size; backfill cost "
-              "follows the brute-force tail — %zu vs %zu points — not the "
-              "window)\n",
+  std::printf("%-34s %12.2fx (1.0 = flat in window size; backfill "
+              "queries walk a KD-tree covering the whole window — unindexed "
+              "tails %zu vs %zu points)\n",
               "eviction cost ratio n vs n/2", evict_window_ratio,
               wistats.tail_size, histats.tail_size);
   std::printf("%-34s %12.6f ms\n", "window relearn", window_relearn_mean * 1e3);

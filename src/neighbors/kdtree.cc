@@ -1,6 +1,7 @@
 #include "neighbors/kdtree.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 #include "neighbors/distance.h"
@@ -10,6 +11,8 @@ namespace iim::neighbors {
 void FlatKdTree::Clear() {
   n_ = 0;
   d_ = 0;
+  built_ = 0;
+  inserted_ = 0;
   order_.clear();
   nodes_.clear();
   root_ = -1;
@@ -19,6 +22,7 @@ void FlatKdTree::Build(const double* points, size_t n, size_t d) {
   Clear();
   n_ = n;
   d_ = d;
+  built_ = n;
   order_.resize(n);
   for (size_t i = 0; i < n; ++i) order_[i] = i;
   nodes_.reserve(n / kLeafSize * 2 + 1);
@@ -68,20 +72,72 @@ int FlatKdTree::BuildRange(const double* points, size_t begin, size_t end,
   return id;
 }
 
+void FlatKdTree::Insert(const double* points, size_t id) {
+  assert(root_ >= 0);
+  const double* p = points + id * d_;
+  size_t node_id = static_cast<size_t>(root_);
+  while (!nodes_[node_id].IsLeaf()) {
+    const Node& node = nodes_[node_id];
+    // "<= split goes left" keeps both plane bounds exact (see the class
+    // comment): Build leaves values equal to the split on either side.
+    node_id = static_cast<size_t>(
+        p[static_cast<size_t>(node.axis)] <= node.split ? node.left
+                                                        : node.right);
+  }
+  nodes_[node_id].overflow.push_back(id);
+  ++n_;
+  ++inserted_;
+}
+
+void FlatKdTree::Remap(const std::vector<size_t>& remap) {
+  // Leaves are rewritten one after another into a fresh order_, each
+  // taking its surviving built ids then its surviving overflow — the
+  // ranges stay disjoint, so the planes above them need no change.
+  std::vector<size_t> order;
+  order.reserve(n_);
+  for (Node& node : nodes_) {
+    if (!node.IsLeaf()) continue;
+    size_t begin = order.size();
+    auto keep = [&](size_t id) {
+      assert(id < remap.size());
+      if (remap[id] != kDropped) order.push_back(remap[id]);
+    };
+    for (size_t i = node.begin; i < node.end; ++i) keep(order_[i]);
+    for (size_t id : node.overflow) keep(id);
+    node.begin = begin;
+    node.end = order.size();
+    node.overflow.clear();
+  }
+  order_.swap(order);
+  n_ = order_.size();
+  if (n_ == 0) Clear();
+}
+
+size_t FlatKdTree::MaxLeafSize() const {
+  size_t most = 0;
+  for (const Node& node : nodes_) {
+    if (node.IsLeaf()) {
+      most = std::max(most, node.end - node.begin + node.overflow.size());
+    }
+  }
+  return most;
+}
+
 void FlatKdTree::SearchNode(int node_id, const double* points,
                             const double* q, const QueryOptions& options,
                             std::vector<Neighbor>* heap,
                             const uint8_t* alive) const {
   const Node& node = nodes_[static_cast<size_t>(node_id)];
   if (node.IsLeaf()) {
-    for (size_t i = node.begin; i < node.end; ++i) {
-      size_t row = order_[i];
-      if (row == options.exclude) continue;
-      if (alive != nullptr && alive[row] == 0) continue;
+    auto visit = [&](size_t row) {
+      if (row == options.exclude) return;
+      if (alive != nullptr && alive[row] == 0) return;
       PushNeighborHeap(
           heap, options.k,
           Neighbor{row, NormalizedEuclidean(q, points + row * d_, d_)});
-    }
+    };
+    for (size_t i = node.begin; i < node.end; ++i) visit(order_[i]);
+    for (size_t row : node.overflow) visit(row);
     return;
   }
   double delta = q[static_cast<size_t>(node.axis)] - node.split;
@@ -120,12 +176,13 @@ void FlatKdTree::RangeNode(int node_id, const double* points,
                            const uint8_t* alive) const {
   const Node& node = nodes_[static_cast<size_t>(node_id)];
   if (node.IsLeaf()) {
-    for (size_t i = node.begin; i < node.end; ++i) {
-      size_t row = order_[i];
-      if (alive != nullptr && alive[row] == 0) continue;
+    auto visit = [&](size_t row) {
+      if (alive != nullptr && alive[row] == 0) return;
       double dist = NormalizedEuclidean(q, points + row * d_, d_);
       if (dist <= r) out->push_back(Neighbor{row, dist});
-    }
+    };
+    for (size_t i = node.begin; i < node.end; ++i) visit(order_[i]);
+    for (size_t row : node.overflow) visit(row);
     return;
   }
   double delta = q[static_cast<size_t>(node.axis)] - node.split;

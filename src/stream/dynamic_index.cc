@@ -31,37 +31,70 @@ DynamicIndex::~DynamicIndex() {
   builder_.reset();
 }
 
-void DynamicIndex::InstallLocked() {
+neighbors::FlatKdTree DynamicIndex::InstallLocked() {
+  neighbors::FlatKdTree retired;
   if (pending_ == nullptr ||
       !pending_->done.load(std::memory_order_acquire)) {
-    return;
+    return retired;
   }
-  if (pending_->abandoned.load(std::memory_order_acquire)) {
+  // The build's shared state (and with it the PendingBuild) outlives this
+  // call inside build_future_, so nothing heavy may stay in it.
+  std::shared_ptr<PendingBuild> p = std::move(pending_);
+  if (p->abandoned.load(std::memory_order_acquire)) {
     // The task bailed out (injected rebuild failure) before producing a
-    // tree; the live tree stays, and the tail policy relaunches later.
+    // tree; the live tree stays, and the rebuild cadence relaunches later.
     ++discarded_;
-  } else if (pending_->epoch == prefix_epoch_) {
-    // The prefix the build covered is bit-unchanged (appends only extend
-    // it), so the tree's point ids and split planes are valid against the
-    // live buffer. The swap is the only tree mutation queries can ever
-    // observe, and it is O(1).
-    tree_ = std::move(pending_->tree);
-    ++rebuilds_;
-    ++swaps_;
-  } else {
-    // Defense in depth: unreachable today, because Compact — the only
-    // epoch bump — drops pending_ in the same critical section (and
-    // counts the discard there). If a future edit ever bumps the epoch
-    // without resetting pending_, this guard keeps the stale tree out.
-    ++discarded_;
+    return retired;
   }
-  pending_.reset();
+  // The task caught the tree up when it finished; only what changed
+  // since (usually nothing, or one arrival) is left.
+  CatchUpLocked(p.get());
+  if (p->tree.empty()) {
+    // Every row the build covered was evicted before it landed.
+    ++discarded_;
+    return retired;
+  }
+  // The swap is the only whole-tree change queries can ever observe, and
+  // it is O(1).
+  retired = std::move(tree_);
+  tree_ = std::move(p->tree);
+  ++rebuilds_;
+  ++swaps_;
+  return retired;
+}
+
+void DynamicIndex::FileArrivalsLocked(neighbors::FlatKdTree* tree) const {
+  for (size_t i = tree->size(); i < n_; ++i) tree->Insert(points_.data(), i);
+}
+
+void DynamicIndex::CatchUpLocked(PendingBuild* p) const {
+  // Renumbering keeps the survivors of the rows the tree covers on a
+  // dense prefix, so after it the tree still covers [0, size()) and the
+  // arrivals to file are exactly the slots past it.
+  for (const std::vector<size_t>& remap : p->remaps) p->tree.Remap(remap);
+  p->remaps.clear();
+  if (!p->tree.empty()) FileArrivalsLocked(&p->tree);
+}
+
+bool DynamicIndex::RebuildDueLocked() const {
+  if (pending_ != nullptr) return false;  // one build in flight at a time
+  if (n_ - dead_ < options_.kdtree_threshold) return false;
+  size_t due = tree_.empty() ? n_ : tree_.inserted();
+  return due >= std::max(options_.min_rebuild_tail, tree_.built() / 4);
+}
+
+void DynamicIndex::RebuildLocked() {
+  if (options_.background_rebuild) {
+    LaunchRebuildLocked();
+  } else {
+    tree_.Build(points_.data(), n_, cols_.size());
+    ++rebuilds_;
+  }
 }
 
 void DynamicIndex::LaunchRebuildLocked() {
   pending_ = std::make_shared<PendingBuild>();
   pending_->n = n_;
-  pending_->epoch = prefix_epoch_;
   // The constructor created and prestarted the builder for every
   // background_rebuild index — creating it here would put OS thread
   // spawning inside the writer-lock hold.
@@ -71,22 +104,23 @@ void DynamicIndex::LaunchRebuildLocked() {
   build_future_ = builder_->Submit([this, p] {
     size_t d = cols_.size();
     {
-      // Brief reader-side pass: copy the prefix while writers are out.
-      // Queries (also readers) proceed concurrently. Rows [0, p->n) are
-      // bit-stable until a compaction, which bumps the epoch and turns
-      // this build into a discard.
+      // Brief reader-side pass: copy the buffer while writers are out.
+      // Queries (also readers) proceed concurrently. A compaction that
+      // landed since the launch moved the rows, so the build retargets
+      // to the window as it is now, and only compactions after this copy
+      // are replayed at install.
       std::shared_lock<std::shared_mutex> lock(mu_);
-      if (p->epoch != prefix_epoch_) {
-        p->done.store(true, std::memory_order_release);
-        return;
+      if (!p->remaps.empty()) {
+        p->remaps.clear();
+        p->n = n_;
       }
       p->snapshot.assign(points_.begin(),
                          points_.begin() + static_cast<long>(p->n * d));
     }
     // Fault-injection site for the background task itself: an injected
     // error abandons this build (the live tree keeps serving and the
-    // tail policy relaunches on a later append); latency stretches the
-    // no-lock build window; crash kills the process mid-rebuild.
+    // rebuild cadence relaunches on a later append); latency stretches
+    // the no-lock build window; crash kills the process mid-rebuild.
     if (!iim::fail::Inject("index.rebuild").ok()) {
       p->abandoned.store(true, std::memory_order_release);
       p->done.store(true, std::memory_order_release);
@@ -96,27 +130,19 @@ void DynamicIndex::LaunchRebuildLocked() {
     p->tree.Build(p->snapshot.data(), p->n, d);
     p->snapshot.clear();
     p->snapshot.shrink_to_fit();
+    {
+      // Catch up with the compactions and arrivals that landed during the
+      // build here, under the reader side, so the installing writer's
+      // hold stays O(1) whatever the build took.
+      std::shared_lock<std::shared_mutex> lock(mu_);
+      CatchUpLocked(p.get());
+    }
     p->done.store(true, std::memory_order_release);
   });
 }
 
-void DynamicIndex::MaybeRebuildLocked() {
-  if (pending_ != nullptr) return;  // one build in flight at a time
-  size_t d = cols_.size();
-  size_t tail = n_ - tree_.size();
-  if (n_ - dead_ < options_.kdtree_threshold ||
-      tail < std::max(options_.min_rebuild_tail, tree_.size() / 4)) {
-    return;
-  }
-  if (options_.background_rebuild) {
-    LaunchRebuildLocked();
-  } else {
-    tree_.Build(points_.data(), n_, d);
-    ++rebuilds_;
-  }
-}
-
 void DynamicIndex::Append(const data::RowView& row) {
+  neighbors::FlatKdTree retired;  // freed after the lock is released
   std::unique_lock<std::shared_mutex> lock(mu_);
   Stopwatch hold;  // writer-lock hold: the ingest critical section
   size_t d = cols_.size();
@@ -127,20 +153,22 @@ void DynamicIndex::Append(const data::RowView& row) {
   }
   alive_.push_back(1);
   ++n_;
-  // Adopt a finished build first: the swap shrinks the tail, which may
-  // make the launch below unnecessary.
-  InstallLocked();
-  MaybeRebuildLocked();
+  // Adopt a finished build first (it files this arrival itself), then
+  // file the arrival into whichever tree is installed.
+  retired = InstallLocked();
+  if (!tree_.empty()) FileArrivalsLocked(&tree_);
+  if (RebuildDueLocked()) RebuildLocked();
   max_append_hold_seconds_ =
       std::max(max_append_hold_seconds_, hold.ElapsedSeconds());
 }
 
 bool DynamicIndex::Remove(size_t slot) {
+  neighbors::FlatKdTree retired;
   std::unique_lock<std::shared_mutex> lock(mu_);
   if (slot >= n_ || alive_[slot] == 0) return false;
   alive_[slot] = 0;
   ++dead_;
-  InstallLocked();  // opportunistic, O(1)
+  retired = InstallLocked();  // opportunistic
   return true;
 }
 
@@ -154,29 +182,36 @@ bool DynamicIndex::NeedsCompaction() const {
 
 std::vector<size_t> DynamicIndex::Compact() {
   size_t d = cols_.size();
-  // Stage the survivor slide OFF the writer lock. The owning core
-  // serializes every mutation, so this thread is the index's only writer
-  // for the whole call: n_/alive_/points_ cannot change between the
-  // staging pass and the install below. The shared lock makes the read
-  // legal against the only concurrent actors — queries and the
-  // background builder, both readers.
+  // Stage the survivor slide and the tree renumbering OFF the writer
+  // lock. The owning core serializes every mutation, so this thread is
+  // the index's only writer for the whole call: n_/alive_/points_/tree_/
+  // pending_ cannot change between the staging pass and the install
+  // below. The shared lock makes the read legal against the only
+  // concurrent actors — queries and the background builder, both
+  // readers.
   std::vector<size_t> remap;
   std::vector<double> packed;
   std::vector<uint8_t> alive;
+  neighbors::FlatKdTree tree;
+  std::vector<size_t> build_remap;  // the in-flight build's copy of remap
   size_t live = 0;
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
     if (dead_ == 0) {
-      // Nothing to drop. Hand back the identity map and leave the tree,
-      // the prefix epoch and any in-flight build untouched — a spurious
-      // Compact must never discard a build or force a rebuild.
+      // Nothing to drop. Hand back the identity map and leave the tree
+      // and any in-flight build untouched — a spurious Compact must never
+      // disturb a build or force a rebuild.
       remap.resize(n_);
       for (size_t i = 0; i < n_; ++i) remap[i] = i;
       return remap;
     }
     live = n_ - dead_;
     remap.assign(n_, kGone);
-    packed.reserve(live * d);
+    // Keep the old buffers' capacity: the slide only shrinks the window,
+    // and a packed-to-fit buffer would make the next Append reallocate
+    // and copy the whole window under the writer lock.
+    packed.reserve(points_.capacity());
+    alive.reserve(alive_.capacity());
     size_t next = 0;
     for (size_t i = 0; i < n_; ++i) {
       if (alive_[i] == 0) continue;
@@ -186,52 +221,50 @@ std::vector<size_t> DynamicIndex::Compact() {
                     points_.begin() + static_cast<long>((i + 1) * d));
     }
     alive.assign(live, 1);
+    // The survivors keep their coordinates, so the split planes stay
+    // exact bounds; only ids change. Below the threshold the tree is
+    // dropped instead — brute force is faster there.
+    if (!tree_.empty() && live >= options_.kdtree_threshold) {
+      tree = tree_;
+      tree.Remap(remap);
+    }
+    if (pending_ != nullptr) build_remap = remap;
   }
 
-  // Install: the writer lock holds only for the O(1) buffer swap and the
-  // rebuild launch — the same install discipline as a background-build
-  // swap, so concurrent queries are never blocked behind the O(n·d)
-  // slide above.
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  Stopwatch hold;
-  points_.swap(packed);
-  alive_.swap(alive);
-  n_ = live;
-  dead_ = 0;
-  ++compactions_;
-  // The prefix moved: any in-flight build is now stale. Bumping the epoch
-  // makes the builder abandon (if it has not copied yet) or the installer
-  // discard (if it has); dropping our pending_ reference frees the slot
-  // for the post-compaction build. The orphaned task only touches its own
-  // snapshot.
-  ++prefix_epoch_;
-  if (pending_ != nullptr) {
-    ++discarded_;
-    pending_.reset();
+  // Install: the writer lock holds only for the O(1) buffer and tree
+  // swaps and a rebuild launch — the same install discipline as a
+  // background-build swap, so concurrent queries are never blocked
+  // behind the O(n·d) slide above. The old buffers and tree leave in
+  // `packed`, `alive` and `tree`, freed after the lock is released.
+  {
+    std::unique_lock<std::shared_mutex> lock(mu_);
+    Stopwatch hold;
+    points_.swap(packed);
+    alive_.swap(alive);
+    std::swap(tree_, tree);
+    n_ = live;
+    dead_ = 0;
+    ++compactions_;
+    // An in-flight build keeps going over its copy; it replays this map
+    // when it installs (or retargets, if it has not copied yet).
+    if (pending_ != nullptr) pending_->remaps.push_back(std::move(build_remap));
+    // The renumbering kept the insert count, so a rebuild due now is
+    // launched over the compacted buffer: it never covers the rows just
+    // dropped, and no Append-side launch has to race this compaction.
+    if (RebuildDueLocked()) RebuildLocked();
+    max_compact_hold_seconds_ =
+        std::max(max_compact_hold_seconds_, hold.ElapsedSeconds());
   }
-  tree_.Clear();
-  if (n_ >= options_.kdtree_threshold) {
-    if (options_.background_rebuild) {
-      // Same double-buffered machinery as Append: queries scan the whole
-      // (now dense) buffer brute-force — still exact — until the
-      // replacement tree lands.
-      LaunchRebuildLocked();
-    } else {
-      tree_.Build(points_.data(), n_, d);
-      ++rebuilds_;
-    }
-  }
-  max_compact_hold_seconds_ =
-      std::max(max_compact_hold_seconds_, hold.ElapsedSeconds());
   return remap;
 }
 
 void DynamicIndex::WaitForRebuild() {
   while (true) {
     std::shared_future<void> f;
+    neighbors::FlatKdTree retired;
     {
       std::unique_lock<std::shared_mutex> lock(mu_);
-      InstallLocked();
+      retired = InstallLocked();
       if (pending_ == nullptr) return;
       f = build_future_;  // copy: concurrent waiters share the handle
       if (!f.valid()) {
@@ -288,30 +321,28 @@ Status DynamicIndex::RestoreState(std::vector<double> points,
     if (a == 0) ++dead_;
   }
   ++state_restores_;
-  if (n_ - dead_ >= options_.kdtree_threshold && n_ > 0) {
-    if (options_.background_rebuild) {
-      LaunchRebuildLocked();
-    } else {
-      tree_.Build(points_.data(), n_, d);
-      ++rebuilds_;
-    }
-  }
+  if (n_ - dead_ >= options_.kdtree_threshold && n_ > 0) RebuildLocked();
   return Status::OK();
 }
 
 void DynamicIndex::Collect(const std::vector<double>& q,
                            const neighbors::QueryOptions& options,
                            std::vector<neighbors::Neighbor>* heap) const {
+  assert(tree_.empty() || tree_.size() == n_);
+  if (!tree_.empty()) {
+    tree_.Search(points_.data(), q.data(), options, heap,
+                 dead_ > 0 ? alive_.data() : nullptr);
+    return;
+  }
+  // No tree (below kdtree_threshold, or before the first build lands):
+  // scan every slot. The bounded push keeps at most k entries alive
+  // instead of materialising the scan: once the first k fill, a point
+  // costs one comparison against the heap front unless it actually
+  // belongs in the top k. The kept set is the k smallest in the
+  // (distance, slot) total order either way — the tree's answer bit for
+  // bit.
   size_t d = cols_.size();
-  // Unindexed tail first (it is usually the smaller side), then the tree;
-  // PushNeighborHeap's (distance, index) order makes the merge exact
-  // regardless of which side a neighbor came from. The bounded push keeps
-  // at most k entries alive instead of materialising the whole tail:
-  // once the first k fill, a tail point costs one comparison against the
-  // heap front unless it actually belongs in the top k. The kept set is
-  // the k smallest in the (distance, slot) total order either way, so
-  // every downstream result is unchanged bit for bit.
-  for (size_t i = tree_.size(); i < n_; ++i) {
+  for (size_t i = 0; i < n_; ++i) {
     if (i == options.exclude || alive_[i] == 0) continue;
     neighbors::PushNeighborHeap(
         heap, options.k,
@@ -319,9 +350,15 @@ void DynamicIndex::Collect(const std::vector<double>& q,
             i, neighbors::NormalizedEuclidean(q.data(),
                                               points_.data() + i * d, d)});
   }
-  tree_.Search(points_.data(), q.data(), options, heap,
-               dead_ > 0 ? alive_.data() : nullptr);
 }
+
+namespace {
+
+bool BySlot(const neighbors::Neighbor& a, const neighbors::Neighbor& b) {
+  return a.index < b.index;
+}
+
+}  // namespace
 
 std::vector<neighbors::Neighbor> DynamicIndex::Query(
     const data::RowView& query,
@@ -343,32 +380,22 @@ std::vector<neighbors::Neighbor> DynamicIndex::RangeQuery(
   size_t d = cols_.size();
   if (radius < 0.0 || n_ - dead_ == 0) return out;
   std::vector<double> q = query.Gather(cols_);
-  if (!std::isfinite(radius)) {
-    // Unbounded: every live slot qualifies, so skip the tree and scan —
-    // already ascending by slot.
-    out.reserve(n_ - dead_);
-    for (size_t i = 0; i < n_; ++i) {
-      if (alive_[i] == 0) continue;
-      out.push_back(neighbors::Neighbor{
-          i, neighbors::NormalizedEuclidean(q.data(),
-                                            points_.data() + i * d, d)});
-    }
+  if (!tree_.empty() && std::isfinite(radius)) {
+    tree_.RangeSearch(points_.data(), q.data(), radius, &out,
+                      dead_ > 0 ? alive_.data() : nullptr);
+    // Tree hits come out in traversal order; ascending slot order is what
+    // callers replaying a scan need.
+    std::sort(out.begin(), out.end(), BySlot);
     return out;
   }
-  for (size_t i = tree_.size(); i < n_; ++i) {
+  // No tree, or an unbounded radius (every live slot qualifies, so the
+  // tree cannot prune): scan, already ascending by slot.
+  for (size_t i = 0; i < n_; ++i) {
     if (alive_[i] == 0) continue;
     double dist =
         neighbors::NormalizedEuclidean(q.data(), points_.data() + i * d, d);
     if (dist <= radius) out.push_back(neighbors::Neighbor{i, dist});
   }
-  tree_.RangeSearch(points_.data(), q.data(), radius, &out,
-                    dead_ > 0 ? alive_.data() : nullptr);
-  // Tree hits come out in traversal order and tail hits precede them;
-  // ascending slot order is what callers replaying a scan need.
-  std::sort(out.begin(), out.end(),
-            [](const neighbors::Neighbor& a, const neighbors::Neighbor& b) {
-              return a.index < b.index;
-            });
   return out;
 }
 
@@ -385,34 +412,35 @@ void DynamicIndex::QueryWithRange(
   bool want_knn = options.k > 0;
   bool want_range = radius >= 0.0 && std::isfinite(radius);
   if (want_knn) nearest->reserve(options.k + 1);
-  // One pass over the brute tail feeds both consumers from a single
-  // distance evaluation; the kernel and both merge/ordering rules are
-  // exactly Query's and RangeQuery's, so each output is bitwise the
-  // respective standalone call.
-  for (size_t i = tree_.size(); i < n_; ++i) {
-    if (alive_[i] == 0) continue;
-    double dist =
-        neighbors::NormalizedEuclidean(q.data(), points_.data() + i * d, d);
-    if (want_range && dist <= radius) {
-      in_range->push_back(neighbors::Neighbor{i, dist});
+  if (!tree_.empty()) {
+    const uint8_t* alive = dead_ > 0 ? alive_.data() : nullptr;
+    if (want_knn) {
+      tree_.Search(points_.data(), q.data(), options, nearest, alive);
     }
-    if (want_knn && i != options.exclude) {
-      neighbors::PushNeighborHeap(nearest, options.k,
-                                  neighbors::Neighbor{i, dist});
+    if (want_range) {
+      tree_.RangeSearch(points_.data(), q.data(), radius, in_range, alive);
+      std::sort(in_range->begin(), in_range->end(), BySlot);
+    }
+  } else {
+    // One pass over every slot feeds both consumers from a single
+    // distance evaluation; the kernel and both merge/ordering rules are
+    // exactly Query's and RangeQuery's, so each output is bitwise the
+    // respective standalone call.
+    for (size_t i = 0; i < n_; ++i) {
+      if (alive_[i] == 0) continue;
+      double dist =
+          neighbors::NormalizedEuclidean(q.data(), points_.data() + i * d, d);
+      if (want_range && dist <= radius) {
+        in_range->push_back(neighbors::Neighbor{i, dist});
+      }
+      if (want_knn && i != options.exclude) {
+        neighbors::PushNeighborHeap(nearest, options.k,
+                                    neighbors::Neighbor{i, dist});
+      }
     }
   }
   if (want_knn) {
-    tree_.Search(points_.data(), q.data(), options, nearest,
-                 dead_ > 0 ? alive_.data() : nullptr);
     std::sort(nearest->begin(), nearest->end(), neighbors::NeighborLess);
-  }
-  if (want_range) {
-    tree_.RangeSearch(points_.data(), q.data(), radius, in_range,
-                      dead_ > 0 ? alive_.data() : nullptr);
-    std::sort(in_range->begin(), in_range->end(),
-              [](const neighbors::Neighbor& a, const neighbors::Neighbor& b) {
-                return a.index < b.index;
-              });
   }
 }
 
@@ -446,6 +474,7 @@ DynamicIndex::Stats DynamicIndex::stats() const {
   s.tombstones = dead_;
   s.tree_size = tree_.size();
   s.tail_size = n_ - tree_.size();
+  s.inserted = tree_.inserted();
   s.rebuilds = rebuilds_;
   s.launches = launches_;
   s.swaps = swaps_;

@@ -234,7 +234,7 @@ void ImputationService::RefreshEngineStats() {
     stats_.health = sharded_->Health();
     stats_.shard_stats = std::move(es.per_shard);
   } else {
-    const OnlineIim::Stats es = engine_->stats();
+    const OnlineIim::Stats es = engine_->CounterStats();
     stats_.snapshots_written = es.snapshots_written;
     stats_.snapshots_loaded = es.snapshots_loaded;
     stats_.log_records_replayed = es.log_records_replayed;
@@ -249,7 +249,13 @@ void ImputationService::RefreshEngineStats() {
     stats_.routed_serves = es.routed_serves;
     stats_.ensemble_serves = es.ensemble_serves;
     stats_.champion_switches = es.champion_switches;
-    stats_.quality = es.quality;
+    // This runs whenever the queue empties — in open loop, after almost
+    // every op — but the quality summaries only move when a probe lands.
+    const QualityMonitor* monitor = engine_->quality_monitor();
+    if (monitor != nullptr && monitor->probes() != quality_probes_) {
+      stats_.quality = monitor->ColumnStats();
+      quality_probes_ = monitor->probes();
+    }
     stats_.health = engine_->Health();
   }
 }

@@ -257,6 +257,9 @@ class ImputationService {
   data::Table fallback_window_;
   Status fallback_fit_;
   bool fallback_fit_valid_ = false;
+  // monitor->probes() when stats_.quality was last summarized (under mu_);
+  // the sentinel forces the first refresh to summarize.
+  uint64_t quality_probes_ = static_cast<uint64_t>(-1);
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;  // server waits for requests

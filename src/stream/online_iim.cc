@@ -531,6 +531,12 @@ std::vector<Result<double>> OnlineIim::ImputeBatch(
 }
 
 OnlineIim::Stats OnlineIim::stats() const {
+  Stats s = CounterStats();
+  if (monitor_ != nullptr) s.quality = monitor_->ColumnStats();
+  return s;
+}
+
+OnlineIim::Stats OnlineIim::CounterStats() const {
   Stats s = stats_;
   const OrderCore::Counters& c = core_.counters();
   s.evicted = c.evicted;
@@ -552,7 +558,6 @@ OnlineIim::Stats OnlineIim::stats() const {
     s.moo_probes = monitor_->probes();
     s.moo_skipped = monitor_->skipped();
     s.champion_switches = monitor_->champion_switches();
-    s.quality = monitor_->ColumnStats();
   }
   return s;
 }

@@ -264,6 +264,11 @@ class OnlineIim {
   // Engine-owned cursors merged with the order-maintenance core's
   // counters (one coherent copy).
   Stats stats() const;
+  // stats() without `quality`: the per-column summaries re-run percentile
+  // passes over every error ring, the one costly part of the copy. They
+  // only change when a probe lands, so a frequent poller takes them from
+  // quality_monitor()->ColumnStats() when probes() moved.
+  Stats CounterStats() const;
   // The quality monitor, or nullptr when moo_sample_rate == 0 (test and
   // example hook; stats() already surfaces everything it measures).
   const QualityMonitor* quality_monitor() const { return monitor_.get(); }

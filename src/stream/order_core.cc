@@ -261,7 +261,7 @@ size_t OrderCore::Arrive(const double* f, double y, uint64_t seq) {
     // state and every maintenance counter bit-identical to the full one.
     // The distances come back from the same kernel the scan would run
     // ((a-b)^2 == (b-a)^2 bitwise), so they are reused as-is. The radius
-    // query shares one brute-tail pass with the kNN lookup.
+    // query shares one reader lock with the kNN lookup.
     std::vector<neighbors::Neighbor> candidates;
     index_.QueryWithRange(point, nopt, max_bound, &nearest, &candidates);
     for (const neighbors::Neighbor& nb : candidates) {

@@ -13,7 +13,10 @@
 // It also pins the two DynamicIndex bugfixes that rode along: a spurious
 // Compact (zero tombstones) must be an identity no-op that never
 // discards an in-flight build, and WaitForRebuild must not spin forever
-// on a pending build whose future was never populated.
+// on a pending build whose future was never populated. Finally it pins
+// the leaf-insert index model against a brute-force mirror: random
+// append/remove/compact/rebuild interleavings, a compaction landing
+// mid-build, and a drifting stream whose inserts all pile into one leaf.
 
 #include <algorithm>
 #include <cmath>
@@ -22,13 +25,17 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/failpoint.h"
 #include "common/rng.h"
 #include "data/table.h"
+#include "neighbors/distance.h"
 #include "stream/dynamic_index.h"
 #include "stream/online_iim.h"
 #include "stream_test_util.h"
@@ -44,6 +51,11 @@ struct DynamicIndexTestPeer {
     index->pending_ = std::make_shared<DynamicIndex::PendingBuild>();
     index->build_future_ = std::shared_future<void>();
   }
+  // The installed tree's fullest leaf (built range + overflow).
+  static size_t MaxLeafSize(const DynamicIndex& index) {
+    std::shared_lock<std::shared_mutex> lock(index.mu_);
+    return index.tree_.MaxLeafSize();
+  }
 };
 
 namespace {
@@ -54,7 +66,7 @@ namespace {
 // RangeQuery must return exactly the live rows within the radius —
 // including rows AT the radius bitwise (the admission filter depends on
 // ties surviving the KD-tree plane pruning) — against tombstones, a
-// compacted prefix, and the un-treed tail.
+// compacted (renumbered) tree, and leaf inserts.
 TEST(DynamicIndexAdmissionTest, RangeQueryMatchesBruteForceWithTies) {
   DynamicIndex::Options dopt;
   dopt.kdtree_threshold = 32;
@@ -141,7 +153,7 @@ TEST(DynamicIndexAdmissionTest, RangeQueryMatchesBruteForceWithTies) {
 // ---------------------------------------------------------------------------
 // DynamicIndex: spurious Compact regression
 
-// Compact with zero tombstones must be an identity no-op: no epoch bump,
+// Compact with zero tombstones must be an identity no-op: no remap,
 // no compaction counted, the installed tree kept, and — the original
 // bug — an in-flight background build must NOT be discarded.
 TEST(DynamicIndexAdmissionTest, SpuriousCompactNeverDiscardsBuilds) {
@@ -156,8 +168,7 @@ TEST(DynamicIndexAdmissionTest, SpuriousCompactNeverDiscardsBuilds) {
     index.Append(full.Row(i));
     if (i % 5 == 0) {
       // Spurious compactions fired while builds are (possibly) in
-      // flight: before the fix each one bumped the prefix epoch and
-      // discarded whatever was pending.
+      // flight: before the fix each one discarded whatever was pending.
       std::vector<size_t> remap = index.Compact();
       ASSERT_EQ(remap.size(), i + 1);
       for (size_t s = 0; s < remap.size(); ++s) {
@@ -174,7 +185,7 @@ TEST(DynamicIndexAdmissionTest, SpuriousCompactNeverDiscardsBuilds) {
   EXPECT_EQ(stats.swaps, stats.launches);  // every build installed
   EXPECT_GT(stats.tree_size, 0u);
 
-  // A REAL compaction still discards a stale in-flight build.
+  // A real compaction is counted.
   ASSERT_TRUE(index.Remove(0));
   (void)index.Compact();
   EXPECT_EQ(index.stats().compactions, 1u);
@@ -195,6 +206,267 @@ TEST(DynamicIndexAdmissionTest, WaitForRebuildToleratesPendingWithoutFuture) {
   // The index is still fully usable afterwards.
   index.Append(full.Row(0));
   EXPECT_EQ(index.size(), full.NumRows() + 1);
+}
+
+// ---------------------------------------------------------------------------
+// DynamicIndex vs a brute-force mirror (the leaf-insert model)
+
+// Slot-indexed copy of what the index should hold: 2-D points and the
+// alive bitmap, compacted through the map Compact returns.
+struct IndexMirror {
+  std::vector<double> points;
+  std::vector<uint8_t> alive;
+  size_t slots() const { return alive.size(); }
+};
+
+void ExpectMatchesMirror(const DynamicIndex& index, const IndexMirror& m,
+                         const double* q, size_t k, size_t exclude,
+                         double radius, const std::string& where) {
+  std::vector<neighbors::Neighbor> all, in_range;
+  for (size_t i = 0; i < m.slots(); ++i) {
+    if (m.alive[i] == 0) continue;
+    double dist = neighbors::NormalizedEuclidean(q, m.points.data() + 2 * i, 2);
+    if (dist <= radius) in_range.push_back(neighbors::Neighbor{i, dist});
+    if (i != exclude) all.push_back(neighbors::Neighbor{i, dist});
+  }
+  std::sort(all.begin(), all.end(), neighbors::NeighborLess);
+  all.resize(std::min(all.size(), k));
+  auto same = [&](const std::vector<neighbors::Neighbor>& got,
+                  const std::vector<neighbors::Neighbor>& want,
+                  const char* what) {
+    ASSERT_EQ(got.size(), want.size()) << where << " " << what;
+    for (size_t j = 0; j < got.size(); ++j) {
+      EXPECT_EQ(got[j].index, want[j].index) << where << " " << what;
+      EXPECT_EQ(got[j].distance, want[j].distance) << where << " " << what;
+    }
+  };
+  data::RowView row(q, 2);
+  neighbors::QueryOptions qopt;
+  qopt.k = k;
+  qopt.exclude = exclude;
+  same(index.Query(row, qopt), all, "Query");
+  same(index.RangeQuery(row, radius), in_range, "RangeQuery");
+  std::vector<neighbors::Neighbor> nearest, ranged;
+  index.QueryWithRange(row, qopt, radius, &nearest, &ranged);
+  same(nearest, all, "QueryWithRange knn");
+  same(ranged, in_range, "QueryWithRange range");
+}
+
+// Applies Compact() to the mirror, checking the returned map is the
+// order-preserving survivor numbering.
+void CompactBoth(DynamicIndex* index, IndexMirror* m) {
+  std::vector<size_t> remap = index->Compact();
+  ASSERT_EQ(remap.size(), m->slots());
+  IndexMirror next;
+  for (size_t i = 0; i < m->slots(); ++i) {
+    if (m->alive[i] == 0) {
+      ASSERT_EQ(remap[i], DynamicIndex::kGone) << "slot " << i;
+      continue;
+    }
+    ASSERT_EQ(remap[i], next.slots()) << "slot " << i;
+    next.points.push_back(m->points[2 * i]);
+    next.points.push_back(m->points[2 * i + 1]);
+    next.alive.push_back(1);
+  }
+  *m = std::move(next);
+}
+
+// (seed, background_rebuild)
+class DynamicIndexPropertyTest
+    : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {};
+
+// Random interleavings of Append, Remove, Compact and WaitForRebuild:
+// after every step Query, RangeQuery and QueryWithRange must equal the
+// brute-force mirror bitwise. Coordinates sit on a half-unit grid, and
+// some arrivals duplicate a live point, so split-plane values and
+// distance ties recur constantly.
+TEST_P(DynamicIndexPropertyTest, RandomInterleavingsMatchBruteForceBitwise) {
+  auto [seed, background] = GetParam();
+  DynamicIndex::Options dopt;
+  dopt.kdtree_threshold = 24;
+  dopt.min_rebuild_tail = 6;
+  dopt.min_compact_tombstones = 4;
+  dopt.background_rebuild = background;
+  DynamicIndex index({0, 1}, dopt);
+  IndexMirror m;
+  Rng rng(seed);
+  auto grid = [&] { return std::round(rng.Uniform(-4.0, 4.0) * 2.0) / 2.0; };
+  for (size_t step = 0; step < 1500; ++step) {
+    double op = rng.Uniform();
+    size_t live = 0;
+    for (uint8_t a : m.alive) live += a;
+    // Grow toward ~150 live rows, then hover there.
+    double append_share = live < 150 ? 0.6 : 0.45;
+    if (op < append_share) {
+      double p[2] = {grid(), grid()};
+      if (m.slots() > 0 && rng.Uniform() < 0.2) {
+        size_t src = static_cast<size_t>(rng.Uniform() * m.slots()) %
+                     m.slots();
+        p[0] = m.points[2 * src];
+        p[1] = m.points[2 * src + 1];
+      }
+      index.Append(data::RowView(p, 2));
+      m.points.push_back(p[0]);
+      m.points.push_back(p[1]);
+      m.alive.push_back(1);
+    } else if (op < 0.85) {
+      size_t slot = static_cast<size_t>(rng.Uniform() * (m.slots() + 2));
+      bool want = slot < m.slots() && m.alive[slot] != 0;
+      ASSERT_EQ(index.Remove(slot), want) << "step " << step;
+      if (want) m.alive[slot] = 0;
+    } else if (op < 0.95) {
+      if (index.NeedsCompaction() || rng.Uniform() < 0.3) {
+        CompactBoth(&index, &m);
+      }
+    } else {
+      index.WaitForRebuild();
+    }
+    DynamicIndex::Stats st = index.stats();
+    ASSERT_EQ(st.slots, m.slots());
+    // Tail-free: a tree, once installed, covers every slot.
+    EXPECT_TRUE(st.tree_size == 0 || st.tail_size == 0) << "step " << step;
+    double q[2] = {grid(), grid()};
+    size_t k = static_cast<size_t>(rng.Uniform() * 12.0);
+    size_t exclude = rng.Uniform() < 0.5
+                         ? neighbors::QueryOptions::kNoExclusion
+                         : static_cast<size_t>(rng.Uniform() * (m.slots() + 1));
+    double radius = rng.Uniform(0.0, 2.5);
+    ExpectMatchesMirror(index, m, q, k, exclude, radius,
+                        "step " + std::to_string(step));
+    if (::testing::Test::HasFailure()) return;
+    if (m.slots() > 0) {
+      // A radius exactly at a live point's distance: ties included.
+      size_t at = static_cast<size_t>(rng.Uniform() * m.slots()) % m.slots();
+      double r = neighbors::NormalizedEuclidean(q, m.points.data() + 2 * at, 2);
+      ExpectMatchesMirror(index, m, q, k, exclude, r, "tie radius");
+    }
+  }
+  index.WaitForRebuild();
+  DynamicIndex::Stats st = index.stats();
+  EXPECT_GE(st.rebuilds, 1u);
+  EXPECT_GE(st.compactions, 1u);
+  EXPECT_GT(st.tree_size, 0u);
+  if (background) EXPECT_EQ(st.swaps + st.discarded, st.launches);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Interleavings, DynamicIndexPropertyTest,
+    ::testing::Combine(::testing::Values(uint64_t{1}, uint64_t{2},
+                                         uint64_t{3}),
+                       ::testing::Bool()));
+
+// A compaction that lands while a background build is running hands the
+// build its old-slot -> new-slot map; the build is renumbered and
+// installed, never discarded, and answers stay exact throughout.
+TEST(DynamicIndexAdmissionTest, CompactionMidBuildIsRenumberedNotDiscarded) {
+  DynamicIndex::Options dopt;
+  dopt.kdtree_threshold = 32;
+  dopt.min_rebuild_tail = 8;
+  dopt.min_compact_tombstones = 4;
+  DynamicIndex index({0, 1}, dopt);
+  IndexMirror m;
+  Rng rng(17);
+  auto append = [&] {
+    double p[2] = {rng.Uniform(-5.0, 5.0), rng.Uniform(-5.0, 5.0)};
+    index.Append(data::RowView(p, 2));
+    m.points.push_back(p[0]);
+    m.points.push_back(p[1]);
+    m.alive.push_back(1);
+  };
+  for (int i = 0; i < 64; ++i) append();
+  index.WaitForRebuild();
+  ASSERT_GT(index.stats().tree_size, 0u);
+
+  // Stretch the next build's no-lock window (the fail point sits after
+  // the buffer copy), then launch it.
+  fail::Spec slow;
+  slow.action = fail::Spec::Action::kLatency;
+  slow.latency_seconds = 0.2;
+  slow.once = true;
+  fail::Enable("index.rebuild", slow);
+  size_t launches = index.stats().launches;
+  while (index.stats().launches == launches) append();
+  while (fail::GetStats("index.rebuild").hits == 0) {
+    std::this_thread::yield();
+  }
+  // The build has copied the buffer and sleeps: evict, compact and keep
+  // appending underneath it.
+  for (size_t slot = 0; slot < 40; slot += 3) {
+    ASSERT_TRUE(index.Remove(slot));
+    m.alive[slot] = 0;
+  }
+  CompactBoth(&index, &m);
+  for (int i = 0; i < 5; ++i) append();
+  EXPECT_TRUE(index.stats().rebuild_in_flight);
+  double q[2] = {0.5, -0.5};
+  ExpectMatchesMirror(index, m, q, 7, neighbors::QueryOptions::kNoExclusion,
+                      2.0, "mid-build");
+
+  index.WaitForRebuild();
+  fail::DisableAll();
+  DynamicIndex::Stats st = index.stats();
+  EXPECT_EQ(st.discarded, 0u);
+  EXPECT_EQ(st.swaps, st.launches);
+  EXPECT_EQ(st.tree_size, st.slots);
+  EXPECT_EQ(st.tail_size, 0u);
+  for (double x : {-4.0, 0.0, 3.0}) {
+    double p[2] = {x, x / 2.0};
+    ExpectMatchesMirror(index, m, p, 9, 3, 1.5, "after install");
+  }
+}
+
+// A monotonically drifting stream sends every arrival past the last split
+// plane into one boundary leaf. The rebuild cadence (inserts since the
+// last build reaching max(min_rebuild_tail, built / 4)) must keep that
+// leaf bounded instead of letting it absorb the stream.
+TEST(DynamicIndexAdmissionTest, DriftingStreamRebuildCadenceRestoresBalance) {
+  const size_t kWindow = 256;
+  const size_t kLeaf = 16;  // FlatKdTree's leaf size
+  for (bool background : {false, true}) {
+    DynamicIndex::Options dopt;
+    dopt.kdtree_threshold = 64;
+    dopt.min_rebuild_tail = 32;
+    dopt.min_compact_tombstones = 16;
+    dopt.background_rebuild = background;
+    DynamicIndex index({0, 1}, dopt);
+    IndexMirror m;
+    Rng rng(29);
+    size_t oldest = 0;
+    size_t worst = 0;
+    for (size_t i = 0; i < 3000; ++i) {
+      double p[2] = {static_cast<double>(i), rng.Uniform(0.0, 1.0)};
+      index.Append(data::RowView(p, 2));
+      m.points.push_back(p[0]);
+      m.points.push_back(p[1]);
+      m.alive.push_back(1);
+      if (m.slots() - oldest > kWindow) {
+        ASSERT_TRUE(index.Remove(oldest));
+        m.alive[oldest++] = 0;
+      }
+      if (index.NeedsCompaction()) {
+        size_t before = m.slots() - oldest;
+        CompactBoth(&index, &m);
+        oldest = m.slots() - before;
+      }
+      // Deterministic cadence: each due build lands before the next op.
+      if (background) index.WaitForRebuild();
+      if (index.stats().tree_size == 0) continue;
+      worst = std::max(worst, DynamicIndexTestPeer::MaxLeafSize(index));
+    }
+    // A built leaf holds <= 16 points; between builds at most
+    // max(32, built / 4) inserts land, and a build covers at most the
+    // window plus the tombstones awaiting compaction.
+    size_t max_built = kWindow + kWindow / 4 + 1;
+    EXPECT_LE(worst, kLeaf + std::max<size_t>(32, max_built / 4))
+        << (background ? "background" : "in-lock");
+    // Without the cadence the boundary leaf would hold most of the stream.
+    DynamicIndex::Stats st = index.stats();
+    EXPECT_GE(st.rebuilds, 3000u / (kWindow * 5 / 4 / 4 + 1) / 2);
+    EXPECT_EQ(st.tail_size, 0u);
+    double q[2] = {2990.0, 0.5};
+    ExpectMatchesMirror(index, m, q, 5, neighbors::QueryOptions::kNoExclusion,
+                        3.0, background ? "background" : "in-lock");
+  }
 }
 
 // ---------------------------------------------------------------------------

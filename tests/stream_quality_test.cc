@@ -92,16 +92,13 @@ data::Table DriftTable(size_t head, size_t tail, uint64_t seed) {
   return t;
 }
 
-void ExpectSameQuality(const OnlineIim::Stats& single,
-                       const ShardedOnlineIim::Stats& sharded,
+void ExpectSameColumns(const std::vector<QualityColumnStats>& want,
+                       const std::vector<QualityColumnStats>& got,
                        const char* where) {
-  EXPECT_EQ(single.moo_probes, sharded.moo_probes) << where;
-  EXPECT_EQ(single.moo_skipped, sharded.moo_skipped) << where;
-  EXPECT_EQ(single.champion_switches, sharded.champion_switches) << where;
-  ASSERT_EQ(single.quality.size(), sharded.quality.size()) << where;
-  for (size_t c = 0; c < single.quality.size(); ++c) {
-    const QualityColumnStats& a = single.quality[c];
-    const QualityColumnStats& b = sharded.quality[c];
+  ASSERT_EQ(want.size(), got.size()) << where;
+  for (size_t c = 0; c < want.size(); ++c) {
+    const QualityColumnStats& a = want[c];
+    const QualityColumnStats& b = got[c];
     EXPECT_EQ(a.holdouts, b.holdouts) << where << " col " << c;
     EXPECT_EQ(a.champion, b.champion) << where << " col " << c;
     EXPECT_EQ(a.switches, b.switches) << where << " col " << c;
@@ -117,6 +114,15 @@ void ExpectSameQuality(const OnlineIim::Stats& single,
           << where << " col " << c;
     }
   }
+}
+
+void ExpectSameQuality(const OnlineIim::Stats& single,
+                       const ShardedOnlineIim::Stats& sharded,
+                       const char* where) {
+  EXPECT_EQ(single.moo_probes, sharded.moo_probes) << where;
+  EXPECT_EQ(single.moo_skipped, sharded.moo_skipped) << where;
+  EXPECT_EQ(single.champion_switches, sharded.champion_switches) << where;
+  ExpectSameColumns(single.quality, sharded.quality, where);
 }
 
 // --- Sharded-vs-single differential -----------------------------------
@@ -529,6 +535,38 @@ TEST(QualityServiceTest, QualityStatsSurfaceThroughService) {
   EXPECT_GT(s.quality.back().samples[kQualityMean], 0u);
   EXPECT_GT(s.quality.back().samples[kQualityKnn], 0u);
   EXPECT_GT(s.quality.back().samples[kQualityGlr], 0u);
+}
+
+// The service re-summarizes the quality rings only when a probe landed
+// since its last refresh; what it reports must still equal the engine's
+// own summary at every quiesce point — after ingest rounds (probes move)
+// and after impute-only rounds (they do not).
+TEST(QualityServiceTest, QualityStatsEqualEngineAfterEveryDrain) {
+  data::Table full = StationaryTable(160, 31);
+  core::IimOptions opt = QualityOptions();
+  opt.moo_sample_rate = 0.5;
+  auto e_r = OnlineIim::Create(full.schema(), kTarget, kFeatures, opt);
+  ASSERT_TRUE(e_r.ok());
+  OnlineIim* engine = e_r.value().get();
+  ImputationService service(engine);
+  for (size_t round = 0; round < 8; ++round) {
+    if (round % 2 == 0) {
+      for (size_t i = round * 20; i < round * 20 + 40; ++i) {
+        ASSERT_TRUE(service.SubmitIngest(full.Row(i).ToVector()).get().ok());
+      }
+    } else {
+      for (size_t i = 0; i < 5; ++i) {
+        ASSERT_TRUE(
+            service.SubmitImpute(Probe(full, i * 7, kTarget)).get().ok());
+      }
+    }
+    service.Drain();
+    ImputationService::Stats s = service.stats();
+    OnlineIim::Stats es = engine->stats();
+    EXPECT_EQ(s.moo_probes, es.moo_probes) << "round " << round;
+    ExpectSameColumns(es.quality, s.quality, "after Drain");
+  }
+  EXPECT_GT(engine->stats().moo_probes, 0u);
 }
 
 // --- Persistence ------------------------------------------------------

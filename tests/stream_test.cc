@@ -26,8 +26,8 @@ constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 // DynamicIndex
 
 TEST(DynamicIndexTest, MatchesBruteForceUnderInterleavedAppendsAndQueries) {
-  // Tiny thresholds so the stream crosses brute-force -> tree+tail ->
-  // rebuild regimes well inside 300 appends.
+  // Tiny thresholds so the stream crosses brute-force -> tree with leaf
+  // inserts -> rebuild regimes well inside 300 appends.
   DynamicIndex::Options dopt;
   dopt.kdtree_threshold = 32;
   dopt.min_rebuild_tail = 16;
@@ -69,18 +69,19 @@ TEST(DynamicIndexTest, MatchesBruteForceUnderInterleavedAppendsAndQueries) {
     }
   }
   // The stream actually exercised the tree: background builds launched,
-  // and after the flush barrier at least one is installed and covers a
-  // non-trivial prefix. (Mid-stream, results are exact regardless of
-  // whether a swap has landed — the loop above already proved that.)
+  // and after the flush barrier at least one is installed and covers
+  // every slot. (Mid-stream, results are exact regardless of whether a
+  // swap has landed — the loop above already proved that.)
   dynamic.WaitForRebuild();
   DynamicIndex::Stats stats = dynamic.stats();
   EXPECT_GE(stats.launches, 1u);
   EXPECT_GE(stats.rebuilds, 1u);
-  EXPECT_EQ(stats.discarded, 0u);  // no compaction raced the builds
+  EXPECT_EQ(stats.discarded, 0u);  // no build failed
   EXPECT_FALSE(stats.rebuild_in_flight);
   EXPECT_GT(stats.tree_size, dopt.kdtree_threshold / 2);
   EXPECT_LE(stats.tree_size, dynamic.size());
   EXPECT_EQ(stats.tree_size + stats.tail_size, stats.slots);
+  EXPECT_EQ(stats.tail_size, 0u);  // arrivals join the tree's leaves
 }
 
 TEST(DynamicIndexTest, BackgroundAndInLockRebuildsAgreeBitwise) {

@@ -41,8 +41,8 @@ TEST(DynamicIndexWindowTest, QueriesNeverReturnEvictedRows) {
   for (size_t i = 0; i < full.NumRows(); ++i) {
     index.Append(full.Row(i));
     live.push_back(1);
-    // Interleave removals so tombstones land both inside the KD-tree
-    // prefix and in the brute-force tail.
+    // Interleave removals so tombstones land both among the KD-tree's
+    // built points and among its leaf inserts.
     if (i > 20 && rng.Bernoulli(0.3)) {
       size_t victim = static_cast<size_t>(rng.UniformInt(
           0, static_cast<int64_t>(live.size()) - 1));
