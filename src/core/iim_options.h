@@ -76,25 +76,21 @@ struct IimOptions {
   // Streaming index tuning, forwarded to stream::DynamicIndex::Options
   // when nonzero (0 keeps that option's default). Results are identical
   // at every setting — these move only WHEN trees are rebuilt and
-  // tombstones compacted. Tests and benches lower them so small-n
-  // schedules still cross KD-tree rebuilds and compactions.
+  // tombstones compacted. Tests lower them so small-n schedules still
+  // cross KD-tree rebuilds and compactions.
   size_t index_kdtree_threshold = 0;
   size_t index_min_rebuild_tail = 0;
   size_t index_min_compact_tombstones = 0;
-  // Shard count for stream::ShardedOnlineIim: arrivals are routed to
-  // `shards` independent engines by a pluggable partitioner and
-  // imputation queries scatter to every shard, merging per-shard
-  // candidates into a global top-k that is bit-identical to an unsharded
-  // engine over the union of the data. Plain OnlineIim and the batch
-  // imputer ignore it. 1 = unsharded.
-  size_t shards = 1;
 
   // --- Durability (stream engines; the batch imputer ignores these) ---
   // Directory for snapshots and the write-ahead arrival log. Empty
   // disables persistence. When set, Create() first recovers from the
-  // newest valid snapshot plus the log tail (falling back to a cold
-  // engine if the directory is empty or unusable), then logs every
-  // explicit Ingest/Evict before applying it.
+  // newest valid snapshot plus the log tail (a cold engine when the
+  // directory holds no intact snapshot), then logs every explicit
+  // Ingest/Evict before applying it. An intact snapshot written under
+  // options that shape results differently — or by another engine
+  // layout — fails Create with InvalidArgument and leaves the directory
+  // as it was.
   std::string persist_dir;
   // Trigger a background snapshot once this many logged ops accumulated
   // since the last checkpoint (0 = only explicit SaveSnapshot calls and

@@ -1,22 +1,12 @@
-// OrderCore: the per-arrival order-maintenance machinery shared by the
-// shard-local streaming engine (OnlineIim) and the cross-shard wrapper
-// (ShardedOnlineIim).
+// OrderCore: the per-arrival order-maintenance machinery behind the
+// streaming engine (OnlineIim).
 //
 // The paper's central object — the learning order NN(t_i, F, l) backing
-// each individual model — used to be maintained incrementally inside
-// OnlineIim only; one level up, the sharded wrapper refit every global
-// model from scratch each quiescent span (the 0.035 ms -> 1.4 ms query
-// regression of ROADMAP item 3). This class extracts the maintenance
-// state machine so both layers instantiate it:
-//
-//   shard-local  OnlineIim owns one core per shard; slots address the
-//                shard's own arrivals.
-//   cross-shard  ShardedOnlineIim owns ONE core over the union of all
-//                shards, addressed by global arrival number. An arrival
-//                invalidates only the holders whose global order it
-//                actually enters — the unsharded engine's trick lifted
-//                one level — so a query-time model is usually a cache
-//                hit (models_reused) instead of a fresh fold.
+// each individual model — is maintained incrementally here, one core per
+// engine, with slots addressing the engine's own arrivals. An arrival
+// invalidates only the holders whose order it actually enters, so a
+// query-time model is usually a cache hit (models_reused) instead of a
+// fresh fold.
 //
 // The core owns the gathered (F, Am) feature block and a DynamicIndex
 // built over identity columns {0..q-1} of those gathered rows. That is
@@ -105,7 +95,7 @@ class OrderCore {
     size_t models_invalidated = 0;
     size_t models_solved = 0;
     // EnsureModel calls answered by a still-clean cached model (the
-    // refit-vs-reuse gauge the sharded query path rides on).
+    // refit-vs-reuse gauge; OnlineIim::Stats::global_fits_reused).
     size_t models_reused = 0;
     size_t downdates = 0;
     size_t downdate_fallbacks = 0;
@@ -175,7 +165,6 @@ class OrderCore {
   // global criterion.
   Status EnsureModel(size_t i);
   const regress::LinearModel& model(size_t i) const { return models_[i]; }
-  bool model_dirty(size_t i) const { return dirty_[i] != 0; }
   // Adaptive: the l chosen at the slot's last evaluation (0 before the
   // first). Fixed-l mode: the configured l.
   size_t chosen_ell(size_t i) const;
@@ -192,7 +181,6 @@ class OrderCore {
     return it == slot_of_seq_.end() ? kNoSlot : it->second;
   }
   uint64_t SeqOf(size_t slot) const { return seq_of_slot_[slot]; }
-  bool SlotAlive(size_t slot) const { return alive_[slot] != 0; }
   const std::vector<uint8_t>& alive_slots() const { return alive_; }
   const double* Features(size_t slot) const { return fb_.Features(slot); }
   double Target(size_t slot) const { return fb_.Target(slot); }
@@ -213,7 +201,7 @@ class OrderCore {
   // Verifies the reverse-neighbor postings (and, when adaptive, the
   // validation orders' reverse lists) against a full recomputation from
   // the orders. O(n·l); debug builds assert it after every eviction,
-  // tests call it directly through the owning engines.
+  // tests call it directly through the owning engine.
   bool VerifyPostings() const;
 
   // --- Durability ------------------------------------------------------
@@ -338,8 +326,7 @@ class OrderCore {
   Counters counters_;
 };
 
-// The core configuration an engine derives from its IimOptions (shared by
-// OnlineIim and ShardedOnlineIim so both layers resolve identical cores).
+// The core configuration an engine derives from its IimOptions.
 OrderCore::Config MakeOrderCoreConfig(const core::IimOptions& options,
                                       size_t q);
 

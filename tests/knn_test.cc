@@ -241,15 +241,17 @@ TEST(QueryManyTest, MatchesSingleQueries) {
   }
 }
 
-// The cross-shard merge primitive in isolation (the property the sharded
-// streaming engine rides on): split a point set across S shards, take
-// each shard's top-k, push every candidate — remapped to its GLOBAL id —
-// through PushNeighborHeap, and the merged top-k must equal a global
-// BruteForceIndex query bit for bit, distance ties included. The tie
-// argument: within one shard, local (distance, index) order equals the
-// global order restricted to that shard (round-robin placement is
-// monotone in the global id), and the heap breaks cross-shard ties by
-// global id — the same total order the global index sorts by.
+// The merge primitive in isolation: split a point set across S parts,
+// take each part's top-k, push every candidate — remapped to its GLOBAL
+// id — through PushNeighborHeap, and the merged top-k must equal a global
+// BruteForceIndex query bit for bit, distance ties included. This is the
+// property FlatKdTree::Search rides on when it merges leaf after leaf
+// into a heap that may arrive pre-seeded, and DynamicIndex's slot scans
+// push through the same heap. The tie argument: within one part, local
+// (distance, index) order equals the global order restricted to that
+// part (round-robin placement is monotone in the global id), and the
+// heap breaks cross-part ties by global id — the same total order the
+// global index sorts by.
 TEST(PushNeighborHeapTest, CrossShardMergeMatchesGlobalTopKBitwise) {
   Rng rng(4711);
   for (size_t n : {size_t{1}, size_t{7}, size_t{40}, size_t{173}}) {

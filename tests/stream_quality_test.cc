@@ -11,14 +11,13 @@
 //     impute bit-identically to a quality-disabled engine, and its core
 //     maintenance counters match exactly — monitoring must never perturb
 //     what it monitors.
-//   - The sharded wrapper: one global monitor fed by global arrival
-//     numbers reproduces the single engine's quality stats bitwise.
 //   - Routing: on a deliberately drifted stream the kAutoRoute engine
 //     switches at least one column's champion off IIM and serves the
 //     drifted tail with LOWER held-out error than the kObserveOnly twin.
-//   - Time-based eviction: EvictWhere / EvictOlderThan agree between the
-//     engines and tolerate holes anywhere in the window (no FIFO-prefix
-//     assumption), with imputations still bitwise equal afterwards.
+//   - Time-based eviction: EvictWhere / EvictOlderThan agree with the
+//     same victims retired by explicit Evict calls and tolerate holes
+//     anywhere in the window (no FIFO-prefix assumption), with
+//     imputations still bitwise equal afterwards.
 //   - The service's overload fallback: the column-mean fit is cached per
 //     quiescent span — fits advance with window *changes*, not with the
 //     number of fallback batches served.
@@ -39,7 +38,6 @@
 #include "eval/metrics.h"
 #include "stream/imputation_service.h"
 #include "stream/online_iim.h"
-#include "stream/sharded_iim.h"
 #include "stream_test_util.h"
 
 namespace iim::stream {
@@ -53,8 +51,8 @@ core::IimOptions QualityOptions() {
   opt.k = 4;
   opt.ell = 8;
   opt.window_size = 128;
-  // Restream path: the sharded-vs-single cells assert bitwise equality,
-  // which is the downdate = false contract (see stream_shard_test.cc).
+  // Restream path: the cross-engine cells assert bitwise equality, which
+  // is the downdate = false contract (see stream_window_test.cc).
   opt.downdate = false;
   opt.moo_sample_rate = 1.0;
   return opt;
@@ -104,8 +102,7 @@ void ExpectSameColumns(const std::vector<QualityColumnStats>& want,
     EXPECT_EQ(a.switches, b.switches) << where << " col " << c;
     for (int m = 0; m < kQualityMethods; ++m) {
       EXPECT_EQ(a.samples[m], b.samples[m]) << where << " col " << c;
-      // Bitwise: the sharded wrapper's global monitor sees the exact
-      // arrival sequence the single engine sees.
+      // Bitwise: both monitors saw the exact same arrival sequence.
       EXPECT_EQ(a.ewma_abs[m], b.ewma_abs[m]) << where << " col " << c;
       EXPECT_EQ(a.ewma_rms[m], b.ewma_rms[m]) << where << " col " << c;
       EXPECT_EQ(a.abs_error[m].p50, b.abs_error[m].p50)
@@ -116,71 +113,13 @@ void ExpectSameColumns(const std::vector<QualityColumnStats>& want,
   }
 }
 
-void ExpectSameQuality(const OnlineIim::Stats& single,
-                       const ShardedOnlineIim::Stats& sharded,
-                       const char* where) {
-  EXPECT_EQ(single.moo_probes, sharded.moo_probes) << where;
-  EXPECT_EQ(single.moo_skipped, sharded.moo_skipped) << where;
-  EXPECT_EQ(single.champion_switches, sharded.champion_switches) << where;
-  ExpectSameColumns(single.quality, sharded.quality, where);
+void ExpectSameQuality(const OnlineIim::Stats& want,
+                       const OnlineIim::Stats& got, const char* where) {
+  EXPECT_EQ(want.moo_probes, got.moo_probes) << where;
+  EXPECT_EQ(want.moo_skipped, got.moo_skipped) << where;
+  EXPECT_EQ(want.champion_switches, got.champion_switches) << where;
+  ExpectSameColumns(want.quality, got.quality, where);
 }
-
-// --- Sharded-vs-single differential -----------------------------------
-
-class QualityDifferentialTest
-    : public ::testing::TestWithParam<std::tuple<uint64_t, size_t, size_t>> {
-};
-
-TEST_P(QualityDifferentialTest, ShardedQualityStatsMatchSingleBitwise) {
-  const uint64_t seed = std::get<0>(GetParam());
-  const size_t shards = std::get<1>(GetParam());
-  const size_t threads = std::get<2>(GetParam());
-  data::Table full = HeterogeneousTable(300, 3, seed);
-  core::IimOptions opt = QualityOptions();
-  opt.window_size = 90;
-  opt.shards = shards;
-  opt.threads = threads;
-
-  auto single_r = OnlineIim::Create(full.schema(), kTarget, kFeatures, opt);
-  ASSERT_TRUE(single_r.ok());
-  auto sharded_r =
-      ShardedOnlineIim::Create(full.schema(), kTarget, kFeatures, opt);
-  ASSERT_TRUE(sharded_r.ok());
-  OnlineIim& single = *single_r.value();
-  ShardedOnlineIim& sharded = *sharded_r.value();
-
-  std::vector<ScheduleOp> ops = MakeSchedule(seed * 131 + shards, 280,
-                                             /*min_live=*/12, /*evict_p=*/0.25,
-                                             /*impute_every=*/31);
-  for (const ScheduleOp& op : ops) {
-    if (op.kind == ScheduleOp::kIngest) {
-      ASSERT_TRUE(single.Ingest(full.Row(op.src_row)).ok());
-      ASSERT_TRUE(sharded.Ingest(full.Row(op.src_row)).ok());
-    } else if (op.kind == ScheduleOp::kEvict) {
-      Status a = single.Evict(op.arrival);
-      Status b = sharded.Evict(op.arrival);
-      ASSERT_EQ(a.code(), b.code());
-    } else {
-      std::vector<double> probe = Probe(full, 290, kTarget);
-      Result<double> a = single.ImputeOne(
-          data::RowView(probe.data(), probe.size()));
-      Result<double> b = sharded.ImputeOne(
-          data::RowView(probe.data(), probe.size()));
-      ASSERT_EQ(a.ok(), b.ok());
-      if (a.ok()) EXPECT_EQ(a.value(), b.value());
-    }
-  }
-  OnlineIim::Stats ss = single.stats();
-  ShardedOnlineIim::Stats hs = sharded.stats();
-  EXPECT_GT(ss.moo_probes, 0u);
-  ExpectSameQuality(ss, hs, "final");
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Cells, QualityDifferentialTest,
-    ::testing::Combine(::testing::Values<uint64_t>(3, 11),
-                       ::testing::Values<size_t>(2, 3),
-                       ::testing::Values<size_t>(1, 4)));
 
 // --- Zero-impact contract ---------------------------------------------
 
@@ -235,33 +174,19 @@ TEST(QualityObserveOnlyTest, BitIdenticalToQualityDisabledEngine) {
 
 // --- Estimator convergence vs. the batch masking protocol -------------
 
-class QualityConvergenceTest
-    : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {};
+class QualityConvergenceTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(QualityConvergenceTest, DecayedErrorTracksBatchMaskingError) {
-  const uint64_t seed = std::get<0>(GetParam());
-  const bool use_sharded = std::get<1>(GetParam());
+  const uint64_t seed = GetParam();
   const size_t n = 400;
   data::Table full = StationaryTable(n, seed);
   core::IimOptions opt = QualityOptions();
   opt.moo_decay = 0.05;
-  if (use_sharded) opt.shards = 3;
 
-  std::unique_ptr<OnlineIim> single;
-  std::unique_ptr<ShardedOnlineIim> sharded;
-  if (use_sharded) {
-    auto r = ShardedOnlineIim::Create(full.schema(), kTarget, kFeatures, opt);
-    ASSERT_TRUE(r.ok());
-    sharded = std::move(r.value());
-  } else {
-    auto r = OnlineIim::Create(full.schema(), kTarget, kFeatures, opt);
-    ASSERT_TRUE(r.ok());
-    single = std::move(r.value());
-  }
+  auto engine = OnlineIim::Create(full.schema(), kTarget, kFeatures, opt);
+  ASSERT_TRUE(engine.ok());
   for (size_t i = 0; i < n; ++i) {
-    Status st = use_sharded ? sharded->Ingest(full.Row(i))
-                            : single->Ingest(full.Row(i));
-    ASSERT_TRUE(st.ok());
+    ASSERT_TRUE(engine.value()->Ingest(full.Row(i)).ok());
   }
 
   // Batch masking-one-out over the FINAL window, mean method: hold each
@@ -281,8 +206,7 @@ TEST_P(QualityConvergenceTest, DecayedErrorTracksBatchMaskingError) {
   Result<double> batch_rms = eval::RmsError(cells);
   ASSERT_TRUE(batch_rms.ok());
 
-  std::vector<QualityColumnStats> quality =
-      use_sharded ? sharded->stats().quality : single->stats().quality;
+  std::vector<QualityColumnStats> quality = engine.value()->stats().quality;
   ASSERT_EQ(quality.size(), kFeatures.size() + 1);
   const QualityColumnStats& target_col = quality.back();
   ASSERT_GT(target_col.samples[kQualityMean], 30u);
@@ -306,8 +230,7 @@ TEST_P(QualityConvergenceTest, DecayedErrorTracksBatchMaskingError) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Cells, QualityConvergenceTest,
-                         ::testing::Combine(::testing::Values<uint64_t>(5, 23),
-                                            ::testing::Bool()));
+                         ::testing::Values<uint64_t>(5, 23));
 
 // --- Champion/challenger routing under drift --------------------------
 
@@ -393,54 +316,59 @@ TEST(QualityEvictionTest, EvictWhereAgreesAcrossEnginesWithHoles) {
   core::IimOptions opt;
   opt.k = 4;
   opt.ell = 8;
-  opt.downdate = false;  // bitwise sharded-vs-single cells
+  opt.downdate = false;  // bitwise cross-engine cells
   opt.timestamp_column = 3;
-  opt.shards = 3;
 
-  auto single_r = OnlineIim::Create(full.schema(), kTarget, kFeatures, opt);
-  auto sharded_r =
-      ShardedOnlineIim::Create(full.schema(), kTarget, kFeatures, opt);
-  ASSERT_TRUE(single_r.ok());
-  ASSERT_TRUE(sharded_r.ok());
-  OnlineIim& single = *single_r.value();
-  ShardedOnlineIim& sharded = *sharded_r.value();
+  // `swept` retires tuples by predicate and by timestamp; `manual`
+  // retires the same arrivals one explicit Evict at a time.
+  auto swept_r = OnlineIim::Create(full.schema(), kTarget, kFeatures, opt);
+  auto manual_r = OnlineIim::Create(full.schema(), kTarget, kFeatures, opt);
+  ASSERT_TRUE(swept_r.ok());
+  ASSERT_TRUE(manual_r.ok());
+  OnlineIim& swept = *swept_r.value();
+  OnlineIim& manual = *manual_r.value();
 
   for (size_t i = 0; i < 120; ++i) {
-    ASSERT_TRUE(single.Ingest(full.Row(i)).ok());
-    ASSERT_TRUE(sharded.Ingest(full.Row(i)).ok());
+    ASSERT_TRUE(swept.Ingest(full.Row(i)).ok());
+    ASSERT_TRUE(manual.Ingest(full.Row(i)).ok());
   }
   // Punch holes in the MIDDLE first — the sweep must not assume the
   // predicate matches an oldest-first prefix of the window.
   auto holes = [](uint64_t arrival, const data::RowView&) {
     return arrival % 7 == 3;
   };
-  Result<size_t> ha = single.EvictWhere(holes);
-  Result<size_t> hb = sharded.EvictWhere(holes);
+  Result<size_t> ha = swept.EvictWhere(holes);
   ASSERT_TRUE(ha.ok());
-  ASSERT_TRUE(hb.ok());
-  EXPECT_EQ(ha.value(), hb.value());
+  size_t hb = 0;
+  for (uint64_t a = 0; a < 120; ++a) {
+    if (a % 7 == 3 && manual.Evict(a).ok()) ++hb;
+  }
+  EXPECT_EQ(ha.value(), hb);
   EXPECT_GT(ha.value(), 0u);
 
-  // Then retire everything older than t = 40 by timestamp.
-  Result<size_t> ta = single.EvictOlderThan(40.0);
-  Result<size_t> tb = sharded.EvictOlderThan(40.0);
+  // Then retire everything older than t = 40 by timestamp (the timestamp
+  // of arrival a is a), skipping the holes already punched.
+  Result<size_t> ta = swept.EvictOlderThan(40.0);
   ASSERT_TRUE(ta.ok());
-  ASSERT_TRUE(tb.ok());
-  EXPECT_EQ(ta.value(), tb.value());
+  size_t tb = 0;
+  for (uint64_t a = 0; a < 40; ++a) {
+    if (manual.IsLive(a) && manual.Evict(a).ok()) ++tb;
+  }
+  EXPECT_EQ(ta.value(), tb);
   EXPECT_GT(ta.value(), 0u);
-  EXPECT_EQ(single.size(), sharded.size());
+  EXPECT_EQ(swept.size(), manual.size());
 
   // The engines still answer identically after the sweeps, and keep
   // agreeing as the stream continues.
   for (size_t i = 120; i < 150; ++i) {
-    ASSERT_TRUE(single.Ingest(full.Row(i)).ok());
-    ASSERT_TRUE(sharded.Ingest(full.Row(i)).ok());
+    ASSERT_TRUE(swept.Ingest(full.Row(i)).ok());
+    ASSERT_TRUE(manual.Ingest(full.Row(i)).ok());
     if (i % 6 == 0) {
       std::vector<double> probe = full.Row(i).ToVector();
       probe[kTarget] = std::numeric_limits<double>::quiet_NaN();
       data::RowView row(probe.data(), probe.size());
-      Result<double> va = single.ImputeOne(row);
-      Result<double> vb = sharded.ImputeOne(row);
+      Result<double> va = swept.ImputeOne(row);
+      Result<double> vb = manual.ImputeOne(row);
       ASSERT_TRUE(va.ok());
       ASSERT_TRUE(vb.ok());
       EXPECT_EQ(va.value(), vb.value());
@@ -591,16 +519,7 @@ TEST(QualitySnapshotTest, EstimatesRoundTripAndProbesStayDeterministic) {
   {
     OnlineIim::Stats sa = original.stats();
     OnlineIim::Stats sb = restored.stats();
-    ExpectSameQuality(sa,
-                      [&] {
-                        ShardedOnlineIim::Stats sh;
-                        sh.moo_probes = sb.moo_probes;
-                        sh.moo_skipped = sb.moo_skipped;
-                        sh.champion_switches = sb.champion_switches;
-                        sh.quality = sb.quality;
-                        return sh;
-                      }(),
-                      "post-restore");
+    ExpectSameQuality(sa, sb, "post-restore");
   }
 
   // Feed both the same continuation: estimates restored bitwise and the

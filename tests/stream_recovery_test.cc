@@ -11,9 +11,10 @@
 // The harness attacks every layer: WAL truncation at every byte boundary,
 // snapshot byte flips, randomized kill points mid-schedule, disk-full /
 // short-write fault injection through the Writer factory, stray .tmp
-// files, and the sharded wrapper's single-store recovery. Nothing in here
-// may crash, and no recovered engine may ever produce a wrong answer —
-// partial loss of the un-acked tail is the only permitted outcome.
+// files, and reopens refused because the directory holds another
+// configuration's image. Nothing in here may crash, and no recovered
+// engine may ever produce a wrong answer — partial loss of the un-acked
+// tail is the only permitted outcome.
 
 #include <unistd.h>
 
@@ -31,7 +32,6 @@
 #include "stream/online_iim.h"
 #include "stream/persist/io.h"
 #include "stream/persist/snapshot.h"
-#include "stream/sharded_iim.h"
 #include "stream_test_util.h"
 
 namespace iim::stream {
@@ -645,90 +645,85 @@ TEST(FaultInjectionTest, FailedSnapshotWriteIsCountedNotFatal) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded wrapper: one store, partitioner-replayed recovery
+// Refused reopen: the newest snapshot is not this engine's image
 
-void ExpectShardedStateEq(ShardedOnlineIim* got, ShardedOnlineIim* want,
-                          const std::vector<std::vector<double>>& probes,
-                          const std::string& where) {
-  ASSERT_EQ(got->size(), want->size()) << where;
-  data::Table tg = got->Window();
-  data::Table tw = want->Window();
-  ASSERT_EQ(tg.NumRows(), tw.NumRows()) << where;
-  for (size_t i = 0; i < tw.NumRows(); ++i) {
-    for (size_t j = 0; j < tw.NumCols(); ++j) {
-      ASSERT_EQ(tg.At(i, j), tw.At(i, j)) << where << " row " << i;
-    }
-  }
-  for (uint64_t a = 0; a < want->stats().ingested; ++a) {
-    std::vector<neighbors::Neighbor> og = got->LearningOrderByArrival(a);
-    std::vector<neighbors::Neighbor> ow = want->LearningOrderByArrival(a);
-    ASSERT_EQ(og.size(), ow.size()) << where << " arrival " << a;
-    for (size_t j = 0; j < ow.size(); ++j) {
-      ASSERT_EQ(og[j].index, ow[j].index) << where << " arrival " << a;
-      ASSERT_EQ(og[j].distance, ow[j].distance) << where << " arrival " << a;
-    }
-  }
-  for (size_t p = 0; p < probes.size(); ++p) {
-    data::RowView view(probes[p].data(), probes[p].size());
-    Result<double> rg = got->ImputeOne(view);
-    Result<double> rw = want->ImputeOne(view);
-    ASSERT_EQ(rg.ok(), rw.ok()) << where << " probe " << p;
-    if (rw.ok()) ASSERT_EQ(rg.value(), rw.value()) << where << " probe " << p;
-  }
-}
-
-TEST(ShardedRecoveryTest, KillPointsMatchNeverCrashedWrapper) {
-  data::Table src = HeterogeneousTable(160, 4, 9);
+// A persist_dir whose newest intact snapshot was written under options
+// that shape results differently (here k) fails Create with
+// InvalidArgument — never a cold start that would silently shadow the
+// stored timeline — and the refused open destroys nothing: reopening
+// with the original options recovers the snapshot plus its log tail
+// bitwise.
+TEST(RefusedReopenTest, MismatchedOptionsFailCreateAndDestroyNothing) {
+  data::Table src = HeterogeneousTable(120, 4, 31);
   core::IimOptions opt = RecoveryOptions();
-  opt.shards = 3;
-  opt.window_size = 36;
-  std::vector<ScheduleOp> ops = MakeSchedule(5, 120, 12, 0.25, 0);
+  std::vector<ScheduleOp> ops = MakeSchedule(13, 90, 12, 0.25, 0);
   std::vector<std::vector<double>> probes = MakeProbes(src, 3);
-
   ScopedTempDir dir;
   core::IimOptions popt = opt;
   popt.persist_dir = dir.path();
-  popt.snapshot_every = 19;
   popt.wal_fsync_every = 1;
 
-  Result<std::unique_ptr<ShardedOnlineIim>> c =
-      ShardedOnlineIim::Create(src.schema(), kTarget, Features(), popt);
-  ASSERT_TRUE(c.ok()) << c.status().ToString();
-  std::unique_ptr<ShardedOnlineIim> crashy = std::move(c).value();
-  Result<std::unique_ptr<ShardedOnlineIim>> s =
-      ShardedOnlineIim::Create(src.schema(), kTarget, Features(), opt);
-  ASSERT_TRUE(s.ok());
-  std::unique_ptr<ShardedOnlineIim> steady = std::move(s).value();
-
-  std::vector<size_t> kills = {23, 61, 104};
+  // One explicit snapshot at op 50, then a log tail behind it.
+  const size_t kSnapshotAt = 50;
+  std::unique_ptr<OnlineIim> reference = MakeEngine(src, opt);
   size_t applied = 0;
-  size_t next_kill = 0;
-  for (const ScheduleOp& op : ops) {
-    if (op.kind == ScheduleOp::kImpute) continue;
-    if (next_kill < kills.size() && applied >= kills[next_kill]) {
-      ++next_kill;
-      crashy.reset();
-      Result<std::unique_ptr<ShardedOnlineIim>> rec =
-          ShardedOnlineIim::Create(src.schema(), kTarget, Features(), popt);
-      ASSERT_TRUE(rec.ok()) << rec.status().ToString();
-      crashy = std::move(rec).value();
-      ASSERT_EQ(crashy->durable_ops(), applied);
-      if (applied >= popt.snapshot_every) {
-        EXPECT_EQ(crashy->stats().snapshots_loaded, 1u);
-      }
-      ExpectShardedStateEq(crashy.get(), steady.get(), probes,
-                           "kill at " + std::to_string(applied));
+  {
+    std::unique_ptr<OnlineIim> writer = MakeEngine(src, popt);
+    for (const ScheduleOp& op : ops) {
+      if (op.kind == ScheduleOp::kImpute) continue;
+      Status sw = ApplyOp(writer.get(), src, op);
+      Status sr = ApplyOp(reference.get(), src, op);
+      ASSERT_EQ(sw.ok(), sr.ok()) << "applied " << applied;
+      if (!sw.ok()) continue;
+      if (++applied == kSnapshotAt) ASSERT_TRUE(writer->SaveSnapshot().ok());
     }
-    Status sc = op.kind == ScheduleOp::kIngest
-                    ? crashy->Ingest(src.Row(op.src_row))
-                    : crashy->Evict(op.arrival);
-    Status ss = op.kind == ScheduleOp::kIngest
-                    ? steady->Ingest(src.Row(op.src_row))
-                    : steady->Evict(op.arrival);
-    ASSERT_EQ(sc.ok(), ss.ok()) << "applied " << applied;
-    if (ss.ok()) ++applied;
+    ASSERT_GT(applied, kSnapshotAt);
+    ASSERT_TRUE(writer->FlushPersistence().ok());
   }
-  ExpectShardedStateEq(crashy.get(), steady.get(), probes, "final");
+
+  core::IimOptions other = popt;
+  other.k = popt.k + 1;
+  Result<std::unique_ptr<OnlineIim>> refused =
+      OnlineIim::Create(src.schema(), kTarget, Features(), other);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+      << refused.status().ToString();
+
+  Result<std::unique_ptr<OnlineIim>> reopened =
+      OnlineIim::Create(src.schema(), kTarget, Features(), popt);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  OnlineIim& rec = *reopened.value();
+  EXPECT_EQ(rec.stats().snapshots_loaded, 1u);
+  EXPECT_EQ(rec.stats().log_records_replayed, applied - kSnapshotAt);
+  EXPECT_EQ(rec.durable_ops(), applied);
+  ExpectEngineStateEq(&rec, reference.get(), probes, "reopen after refusal");
+}
+
+// An image whose fingerprint matches but carries more than this engine
+// writes — the shape of a retired layout that extended the engine's
+// meta section — is refused as a layout mismatch, not half-read.
+TEST(RefusedReopenTest, LongerFingerprintIsALayoutMismatch) {
+  data::Table src = HeterogeneousTable(40, 4, 37);
+  core::IimOptions opt = RecoveryOptions();
+  std::unique_ptr<OnlineIim> a = MakeEngine(src, opt);
+  for (size_t i = 0; i < 20; ++i) ASSERT_TRUE(a->Ingest(src.Row(i)).ok());
+  std::string bytes = a->SerializeSnapshot();
+
+  Result<persist::SnapshotView> view = persist::SnapshotView::Parse(bytes);
+  ASSERT_TRUE(view.ok());
+  Result<persist::SectionReader> meta =
+      view.value().Section(persist::kSecMeta);
+  ASSERT_TRUE(meta.ok());
+  persist::SnapshotBuilder b(view.value().ops_covered());
+  b.BeginSection(persist::kSecMeta);
+  while (meta.value().remaining() > 0) b.PutU8(meta.value().U8());
+  b.PutU64(3);  // one field more than the engine's fingerprint
+  std::string foreign = b.Finish();
+
+  std::unique_ptr<OnlineIim> c = MakeEngine(src, opt);
+  Status st = c->RestoreFromSnapshot(foreign);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_EQ(c->size(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -532,80 +532,6 @@ TEST(ImputationServiceTest, StatsSnapshotStableAndCoherentWhilePaused) {
   EXPECT_EQ(service.stats().ingests, 100u);
 }
 
-// The sharded front end: consecutive ingests coalesce into per-shard
-// parallel IngestBatch calls, imputations scatter/gather across shards —
-// and every answer is bit-identical to an UNSHARDED engine driven
-// synchronously with the same sequence. Aggregated per-shard stats ride
-// along in the same coherent snapshot.
-TEST(ImputationServiceTest, ShardedServiceMatchesUnshardedDirectDrive) {
-  data::Table full = HeterogeneousTable(200, 3, 89);
-  core::IimOptions opt = StreamOptions(2);
-
-  // Reference: one UNSHARDED engine, driven synchronously.
-  Result<std::unique_ptr<OnlineIim>> ref =
-      OnlineIim::Create(full.schema(), 2, {0, 1}, opt);
-  ASSERT_TRUE(ref.ok());
-  for (size_t i = 0; i < 120; ++i) {
-    ASSERT_TRUE(ref.value()->Ingest(full.Row(i)).ok());
-  }
-  std::vector<double> want;
-  data::Table probes(data::Schema::Default(3));
-  for (size_t p = 0; p < 10; ++p) {
-    ASSERT_TRUE(probes.AppendRow(Probe(full, 150 + p, 2)).ok());
-  }
-  for (size_t p = 0; p < probes.NumRows(); ++p) {
-    Result<double> v = ref.value()->ImputeOne(probes.Row(p));
-    ASSERT_TRUE(v.ok());
-    want.push_back(v.value());
-  }
-
-  core::IimOptions sharded_opt = opt;
-  sharded_opt.shards = 3;
-  Result<std::unique_ptr<ShardedOnlineIim>> engine = ShardedOnlineIim::Create(
-      full.schema(), 2, {0, 1}, sharded_opt);
-  ASSERT_TRUE(engine.ok());
-
-  ImputationService::Options sopt;
-  sopt.max_batch = 16;
-  ImputationService service(engine.value().get(), sopt);
-  // Park the server so the queue holds one long run of ingests followed
-  // by a run of imputations: the drain must coalesce 120 consecutive
-  // ingests into exactly ceil(120/16) per-shard-parallel batches.
-  service.Pause();
-  std::vector<std::future<Status>> ingests;
-  for (size_t i = 0; i < 120; ++i) {
-    ingests.push_back(service.SubmitIngest(full.Row(i).ToVector()));
-  }
-  std::vector<std::future<Result<double>>> futures;
-  for (size_t p = 0; p < probes.NumRows(); ++p) {
-    futures.push_back(service.SubmitImpute(Probe(full, 150 + p, 2)));
-  }
-  service.Resume();
-  service.Drain();
-
-  for (auto& f : ingests) EXPECT_TRUE(f.get().ok());
-  ASSERT_EQ(futures.size(), want.size());
-  for (size_t p = 0; p < futures.size(); ++p) {
-    Result<double> got = futures[p].get();
-    ASSERT_TRUE(got.ok()) << p;
-    EXPECT_EQ(got.value(), want[p]) << p;
-  }
-
-  service.Pause();  // stats below are stable and coherent
-  ImputationService::Stats stats = service.stats();
-  EXPECT_EQ(stats.ingests, 120u);
-  EXPECT_EQ(stats.ingest_batches, 8u);  // ceil(120 / 16)
-  EXPECT_EQ(stats.largest_ingest_batch, 16u);
-  EXPECT_EQ(stats.imputations, futures.size());
-  ASSERT_EQ(stats.shard_stats.size(), 3u);
-  uint64_t shard_ingested = 0;
-  for (const OnlineIim::Stats& s : stats.shard_stats) {
-    shard_ingested += s.ingested;
-  }
-  EXPECT_EQ(shard_ingested, 120u);
-  EXPECT_EQ(engine.value()->size(), 120u);
-}
-
 TEST(ImputationServiceTest, ShutdownDrainsBacklogAndRejectsLateSubmits) {
   data::Table full = HeterogeneousTable(80, 3, 71);
   core::IimOptions opt = StreamOptions(1);
