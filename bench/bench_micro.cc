@@ -4,16 +4,26 @@
 //     (the Proposition 3 claim: constant vs linear in l);
 //   - kd-tree vs brute-force neighbor queries;
 //   - candidate combination (Formulas 10-12);
-//   - one full IIM ImputeOne call.
+//   - one full IIM ImputeOne call;
+//   - the checkpoint codec: CRC-32 throughput and a streaming engine's
+//     snapshot serialize / restore (the engine-thread checkpoint pause
+//     and the decode half of recovery).
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "core/iim_imputer.h"
 #include "datasets/generator.h"
+#include "datasets/specs.h"
 #include "neighbors/kdtree.h"
 #include "regress/incremental_ridge.h"
 #include "regress/ridge.h"
+#include "stream/online_iim.h"
 
 namespace {
 
@@ -234,6 +244,83 @@ void BM_IimImputeOne(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IimImputeOne)->Arg(1000)->Arg(10000);
+
+// CRC-32 over 1 MB: the per-byte cost every snapshot section, snapshot
+// footer and write-ahead record pays.
+void BM_Crc32(benchmark::State& state) {
+  size_t n = static_cast<size_t>(state.range(0));
+  iim::Rng rng(13);
+  std::vector<unsigned char> buf(n);
+  for (unsigned char& b : buf) {
+    b = static_cast<unsigned char>(rng.UniformInt(0, 255));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(iim::Crc32(buf.data(), buf.size()));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+}
+BENCHMARK(BM_Crc32)->Arg(1 << 20);
+
+// A streaming engine holding an n-row CCPP window (default options): the
+// image a checkpoint writes and a recovery reads.
+std::unique_ptr<iim::stream::OnlineIim> LoadedEngine(size_t n) {
+  iim::datasets::DatasetSpec spec = iim::datasets::Ccpp();
+  spec.n = n;
+  auto gen = iim::datasets::Generate(spec, 5);
+  if (!gen.ok()) return nullptr;
+  const iim::data::Table& t = gen.value().table;
+  int target = static_cast<int>(t.NumCols()) - 1;
+  std::vector<int> features;
+  for (int j = 0; j < target; ++j) features.push_back(j);
+  auto engine = iim::stream::OnlineIim::Create(t.schema(), target, features,
+                                               iim::core::IimOptions());
+  if (!engine.ok()) return nullptr;
+  for (size_t i = 0; i < n; ++i) {
+    if (!engine.value()->Ingest(t.Row(i)).ok()) return nullptr;
+  }
+  engine.value()->WaitForIndexRebuild();
+  return std::move(engine).value();
+}
+
+void BM_SnapshotSerialize(benchmark::State& state) {
+  auto engine = LoadedEngine(static_cast<size_t>(state.range(0)));
+  if (engine == nullptr) {
+    state.SkipWithError("engine setup failed");
+    return;
+  }
+  size_t bytes = 0;
+  for (auto _ : state) {
+    std::string image = engine->SerializeSnapshot();
+    bytes = image.size();
+    benchmark::DoNotOptimize(image.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["image_bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_SnapshotSerialize)->Arg(10000)->Unit(benchmark::kMillisecond);
+
+// Parse + decode + install into a fresh engine (creation included: a
+// restore needs an empty engine, and Create is cheap next to the image).
+void BM_SnapshotRestore(benchmark::State& state) {
+  auto engine = LoadedEngine(static_cast<size_t>(state.range(0)));
+  if (engine == nullptr) {
+    state.SkipWithError("engine setup failed");
+    return;
+  }
+  const std::string image = engine->SerializeSnapshot();
+  const iim::data::Schema& schema = engine->table().schema();
+  for (auto _ : state) {
+    auto fresh = iim::stream::OnlineIim::Create(
+        schema, engine->target(), engine->features(), engine->options());
+    if (!fresh.ok() || !fresh.value()->RestoreFromSnapshot(image).ok()) {
+      state.SkipWithError("restore failed");
+      return;
+    }
+    benchmark::DoNotOptimize(fresh.value()->size());
+  }
+}
+BENCHMARK(BM_SnapshotRestore)->Arg(10000)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

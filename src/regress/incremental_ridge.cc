@@ -113,10 +113,15 @@ Status IncrementalRidge::RestoreState(const linalg::Matrix& u,
         "IncrementalRidge::RestoreState: state dimensions do not match this "
         "accumulator's feature count");
   }
-  u_ = u;
-  v_ = v;
-  num_rows_ = rows;
+  StateBuffers state = RestoreInPlace(rows);
+  std::copy(u.RowPtr(0), u.RowPtr(0) + (p_ + 1) * (p_ + 1), state.u);
+  std::copy(v.begin(), v.end(), state.v);
   return Status::OK();
+}
+
+IncrementalRidge::StateBuffers IncrementalRidge::RestoreInPlace(size_t rows) {
+  num_rows_ = rows;
+  return StateBuffers{u_.RowPtr(0), v_.data()};
 }
 
 }  // namespace iim::regress

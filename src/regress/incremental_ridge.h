@@ -60,6 +60,15 @@ class IncrementalRidge {
   // one whose last RemoveRow was refused by the conditioning guard.
   Status RestoreState(const linalg::Matrix& u, const linalg::Vector& v,
                       size_t rows);
+  // RestoreState for decoders that write the saved bytes in place: sets
+  // the folded-row count to `rows` and returns this accumulator's U
+  // storage ((p+1)^2 values, row-major) and V storage (p+1 values) for
+  // the caller to overwrite, with no temporary Matrix/Vector in between.
+  struct StateBuffers {
+    double* u;
+    double* v;
+  };
+  StateBuffers RestoreInPlace(size_t rows);
 
   size_t num_rows() const { return num_rows_; }
   size_t num_features() const { return p_; }

@@ -280,26 +280,6 @@ void DynamicIndex::WaitForRebuild() {
   }
 }
 
-void DynamicIndex::SnapshotState(std::vector<double>* points,
-                                 std::vector<uint8_t>* alive) const {
-  Stopwatch hold;
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    points->assign(points_.begin(),
-                   points_.begin() + static_cast<long>(n_ * cols_.size()));
-    alive->assign(alive_.begin(), alive_.begin() + static_cast<long>(n_));
-  }
-  double held = hold.ElapsedSeconds();
-  // Counters are written under the writer lock like every other mutation;
-  // taking it after the copy keeps the read-side hold (what the stat
-  // measures) free of the bookkeeping.
-  auto* self = const_cast<DynamicIndex*>(this);
-  std::unique_lock<std::shared_mutex> lock(self->mu_);
-  ++self->state_snapshots_;
-  self->max_snapshot_hold_seconds_ =
-      std::max(self->max_snapshot_hold_seconds_, held);
-}
-
 Status DynamicIndex::RestoreState(std::vector<double> points,
                                   std::vector<uint8_t> alive) {
   std::unique_lock<std::shared_mutex> lock(mu_);
@@ -320,7 +300,6 @@ Status DynamicIndex::RestoreState(std::vector<double> points,
   for (uint8_t a : alive_) {
     if (a == 0) ++dead_;
   }
-  ++state_restores_;
   if (n_ - dead_ >= options_.kdtree_threshold && n_ > 0) RebuildLocked();
   return Status::OK();
 }
@@ -483,9 +462,6 @@ DynamicIndex::Stats DynamicIndex::stats() const {
   s.rebuild_in_flight = pending_ != nullptr;
   s.max_append_hold_seconds = max_append_hold_seconds_;
   s.max_compact_hold_seconds = max_compact_hold_seconds_;
-  s.state_snapshots = state_snapshots_;
-  s.state_restores = state_restores_;
-  s.max_snapshot_hold_seconds = max_snapshot_hold_seconds_;
   return s;
 }
 

@@ -117,13 +117,6 @@ class DynamicIndex final : public neighbors::NeighborIndex {
     // Same for Compact (the buffer and tree swaps, plus the in-lock build
     // when background_rebuild is off).
     double max_compact_hold_seconds = 0.0;
-    // Durability: SnapshotState copies taken / RestoreState installs, and
-    // the longest reader-lock hold one snapshot copy cost concurrent
-    // writers nothing — but concurrent COMPACTS wait it out, so the
-    // checkpoint path reports it.
-    size_t state_snapshots = 0;
-    size_t state_restores = 0;
-    double max_snapshot_hold_seconds = 0.0;
   };
 
   // Compact()'s remap value for evicted slots.
@@ -198,12 +191,6 @@ class DynamicIndex final : public neighbors::NeighborIndex {
   // at every moment — it is a determinism barrier for tests, benches and
   // idle streams that want the tree fresh before a read-heavy phase.
   void WaitForRebuild();
-
-  // Copies the full slot state (row-major gathered points + alive bitmap,
-  // tombstones included) under a reader lock — a checkpoint can run while
-  // queries proceed. The copy is the exact byte image RestoreState needs.
-  void SnapshotState(std::vector<double>* points,
-                     std::vector<uint8_t>* alive) const;
 
   // Installs externally saved slot state into an EMPTY index (snapshot
   // restore). points.size() must be alive.size() * cols().size(). Builds
@@ -306,11 +293,6 @@ class DynamicIndex final : public neighbors::NeighborIndex {
   size_t compactions_ = 0;
   double max_append_hold_seconds_ = 0.0;
   double max_compact_hold_seconds_ = 0.0;
-  size_t state_snapshots_ = 0;
-  size_t state_restores_ = 0;
-  // Updated by SnapshotState under a brief writer lock taken AFTER the
-  // reader-locked copy (counters are not worth blocking queries for).
-  double max_snapshot_hold_seconds_ = 0.0;
 
   // Created (worker prestarted) at construction when background_rebuild
   // is on, so no Append ever pays thread creation; declared last so its

@@ -573,11 +573,10 @@ std::string OnlineIim::SerializeSnapshot() {
   // projection of the same slots; the duplication buys a table() that
   // restores without re-reading the schema mapping.
   b.BeginSection(persist::kSecRows);
+  b.Reserve(2 * sizeof(uint64_t) + n * m * sizeof(double));
   b.PutU64(n);
   b.PutU64(m);
-  for (size_t j = 0; j < m; ++j) {
-    for (size_t i = 0; i < n; ++i) b.PutF64(table_.At(i, j));
-  }
+  for (size_t j = 0; j < m; ++j) b.PutDoubles(table_.Column(j).data(), n);
 
   core_.SerializeInto(&b);
   if (monitor_ != nullptr) monitor_->SerializeInto(&b);
@@ -585,12 +584,16 @@ std::string OnlineIim::SerializeSnapshot() {
 }
 
 Status OnlineIim::RestoreFromSnapshot(const std::string& bytes) {
+  ASSIGN_OR_RETURN(persist::SnapshotView view,
+                   persist::SnapshotView::Parse(bytes));
+  return RestoreFromView(view);
+}
+
+Status OnlineIim::RestoreFromView(const persist::SnapshotView& view) {
   if (core_.n() != 0 || stats_.ingested != 0) {
     return Status::FailedPrecondition(
         "OnlineIim: snapshots restore into an empty engine only");
   }
-  ASSIGN_OR_RETURN(persist::SnapshotView view,
-                   persist::SnapshotView::Parse(bytes));
   auto mismatch = [](const char* what) {
     return Status::InvalidArgument(
         std::string("OnlineIim: snapshot was written under a different ") +
@@ -662,12 +665,14 @@ Status OnlineIim::RestoreFromSnapshot(const std::string& bytes) {
   ASSIGN_OR_RETURN(persist::SectionReader rows,
                    view.Section(persist::kSecRows));
   size_t n = rows.U64();
-  if (rows.U64() != m) {
+  if (rows.U64() != m || n > rows.remaining() / (m * sizeof(double))) {
     return Status::IoError("OnlineIim: snapshot row block shape mismatch");
   }
-  std::vector<double> cells(n * m);
+  data::Table restored(table_.schema(), n);
+  std::vector<double> column(n);
   for (size_t j = 0; j < m; ++j) {
-    for (size_t i = 0; i < n; ++i) cells[i * m + j] = rows.F64();
+    rows.Doubles(column.data(), n);
+    for (size_t i = 0; i < n; ++i) restored.Set(i, j, column[i]);
   }
   RETURN_IF_ERROR(rows.status());
 
@@ -682,17 +687,13 @@ Status OnlineIim::RestoreFromSnapshot(const std::string& bytes) {
   // from the same slots — cross-check the projection agrees bitwise.
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = 0; j < q_; ++j) {
-      double cell = cells[i * m + static_cast<size_t>(features_[j])];
+      double cell = restored.At(i, static_cast<size_t>(features_[j]));
       assert(std::memcmp(&cell, core_.Features(i) + j, sizeof(double)) == 0);
     }
   }
 #endif
 
-  for (size_t i = 0; i < n; ++i) {
-    RETURN_IF_ERROR(table_.AppendRow(std::vector<double>(
-        cells.begin() + static_cast<long>(i * m),
-        cells.begin() + static_cast<long>((i + 1) * m))));
-  }
+  table_ = std::move(restored);
   if (monitor_ != nullptr) {
     // Estimates, rings and champions restore bitwise from their section;
     // the mirror and challenger fits are rebuilt by re-adding the live
@@ -729,10 +730,10 @@ Status OnlineIim::InitPersistence() {
 
   uint64_t base = 0;
   if (store_->has_snapshot()) {
-    // The bytes already passed every checksum; a decode failure here is a
-    // format bug or an options mismatch — both hard errors, never silent
-    // divergence.
-    RETURN_IF_ERROR(RestoreFromSnapshot(store_->snapshot_bytes()));
+    // The store's view already passed every checksum; a decode failure
+    // here is a format bug or an options mismatch — both hard errors,
+    // never silent divergence.
+    RETURN_IF_ERROR(RestoreFromView(store_->snapshot()));
     base = store_->snapshot_ops();
   }
 

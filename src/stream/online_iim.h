@@ -306,6 +306,10 @@ class OnlineIim {
   // Runs the core's compaction check and, when one fired, drops the same
   // tombstoned rows from the full-row table.
   void MaybeCompact();
+  // RestoreFromSnapshot's body over an already-validated container: the
+  // one restore path, shared with InitPersistence (which hands over the
+  // view the state store parsed at open, so a reopen checksums once).
+  Status RestoreFromView(const persist::SnapshotView& view);
   // Opens the state store, restores the newest valid snapshot, replays
   // the log tail through Ingest/Evict, and starts logging.
   Status InitPersistence();

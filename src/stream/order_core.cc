@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 #include <unordered_set>
 
 #include "core/individual_models.h"
@@ -27,6 +29,15 @@ std::vector<int> IdentityCols(size_t q) {
 bool DistanceBefore(double d, const neighbors::Neighbor& nb) {
   return d < nb.distance;
 }
+
+// Snapshot orders are written and read as whole Neighbor arrays: the
+// in-memory record must be exactly the wire's {u64 index, f64 distance}.
+static_assert(sizeof(size_t) == sizeof(uint64_t) &&
+                  sizeof(neighbors::Neighbor) == 16 &&
+                  offsetof(neighbors::Neighbor, index) == 0 &&
+                  offsetof(neighbors::Neighbor, distance) == 8 &&
+                  std::is_trivially_copyable_v<neighbors::Neighbor>,
+              "Neighbor must match the snapshot's 16-byte order entry");
 
 }  // namespace
 
@@ -813,23 +824,9 @@ bool OrderCore::VerifyPostings() const {
 
 void OrderCore::SerializeInto(persist::SnapshotBuilder* b) const {
   // The index's slot state is byte-for-byte derivable from the gathered
-  // rows, so only the rows go into the image. SnapshotState is still
-  // taken — it is the one timed reader-lock hold of the checkpoint path
-  // (the stat the index surfaces), and debug builds cross-check it
-  // against the feature block to catch index/block divergence.
-  {
-    std::vector<double> pts;
-    std::vector<uint8_t> alive;
-    index_.SnapshotState(&pts, &alive);
-#ifndef NDEBUG
-    assert(alive.size() == n_ && pts.size() == n_ * q_);
-    for (size_t i = 0; i < n_; ++i) {
-      assert(alive[i] == alive_[i]);
-      assert(std::memcmp(pts.data() + i * q_, fb_.Features(i),
-                         q_ * sizeof(double)) == 0);
-    }
-#endif
-  }
+  // rows, so only the rows go into the image; debug builds check the
+  // index still describes the same slots.
+  assert(index_.slots() == n_ && index_.size() == live_);
 
   b->BeginSection(persist::kSecCoreMeta);
   b->PutU32(2);  // core layout version within the container
@@ -866,8 +863,10 @@ void OrderCore::SerializeInto(persist::SnapshotBuilder* b) const {
   // Gathered rows over ALL slots (tombstones keep their payload until
   // compaction, and the restored index needs the same slot geometry).
   b->BeginSection(persist::kSecCoreRows);
-  for (size_t i = 0; i < n_; ++i) b->PutU8(alive_[i]);
-  for (size_t i = 0; i < n_; ++i) b->PutU64(seq_of_slot_[i]);
+  b->Reserve(n_ * (sizeof(uint8_t) + sizeof(uint64_t) +
+                   (q_ + 2) * sizeof(double)));
+  b->PutBytes(alive_.data(), n_);
+  b->PutBytes(seq_of_slot_.data(), n_ * sizeof(uint64_t));
   // Admission bounds ride along even though they are derivable from the
   // orders: RestoreFrom recomputes them and hard-fails on any
   // disagreement — a cheap end-to-end consistency check on the whole
@@ -878,18 +877,27 @@ void OrderCore::SerializeInto(persist::SnapshotBuilder* b) const {
     b->PutF64(fb_.Target(i));
   }
 
+  // Each order is its length, then its Neighbor array as one put (the
+  // static_assert above pins the record to the wire's 16 bytes).
   b->BeginSection(persist::kSecCoreOrders);
-  auto put_orders = [&](const std::vector<std::vector<neighbors::Neighbor>>&
-                            orders) {
+  using Orders = std::vector<std::vector<neighbors::Neighbor>>;
+  auto order_bytes = [&](const Orders& orders) {
+    size_t bytes = 0;
+    for (size_t i = 0; i < n_; ++i) {
+      bytes += sizeof(uint32_t) +
+               orders[i].size() * sizeof(neighbors::Neighbor);
+    }
+    return bytes;
+  };
+  auto put_orders = [&](const Orders& orders) {
     for (size_t i = 0; i < n_; ++i) {
       const std::vector<neighbors::Neighbor>& order = orders[i];
       b->PutU32(static_cast<uint32_t>(order.size()));
-      for (const neighbors::Neighbor& nb : order) {
-        b->PutU64(nb.index);
-        b->PutF64(nb.distance);
-      }
+      b->PutBytes(order.data(), order.size() * sizeof(neighbors::Neighbor));
     }
   };
+  b->Reserve(order_bytes(orders_) +
+             (config_.adaptive ? order_bytes(vorders_) : 0));
   put_orders(orders_);
   if (config_.adaptive) put_orders(vorders_);  // vpost_ is derivable
 
@@ -900,13 +908,18 @@ void OrderCore::SerializeInto(persist::SnapshotBuilder* b) const {
   // exactly where the writer would have.
   b->BeginSection(persist::kSecCoreModels);
   size_t p1 = q_ + 1;
+  size_t per_slot = 2 * sizeof(uint64_t) + sizeof(uint8_t) +
+                    sizeof(uint32_t) + (p1 * p1 + 2 * p1) * sizeof(double);
+  if (config_.adaptive) {
+    per_slot += sizeof(uint64_t) + sizeof(uint8_t) + sizeof(uint32_t) +
+                ells_.size() * sizeof(double);
+  }
+  b->Reserve(n_ * per_slot);
   for (size_t i = 0; i < n_; ++i) {
     b->PutU64(consumed_[i]);
     b->PutU8(dirty_[i]);
     b->PutU64(accums_[i].num_rows());
-    for (size_t r = 0; r < p1; ++r) {
-      b->PutDoubles(accums_[i].U().RowPtr(r), p1);
-    }
+    b->PutDoubles(accums_[i].U().RowPtr(0), p1 * p1);  // row-major, dense
     b->PutDoubles(accums_[i].V().data(), p1);
     b->PutU32(static_cast<uint32_t>(models_[i].phi.size()));
     b->PutDoubles(models_[i].phi.data(), models_[i].phi.size());
@@ -988,10 +1001,16 @@ Status OrderCore::RestoreFrom(const persist::SnapshotView& view) {
 
   ASSIGN_OR_RETURN(persist::SectionReader rows,
                    view.Section(persist::kSecCoreRows));
+  // Every slot costs the rows section a fixed record; a slot count the
+  // payload cannot hold is refused before anything is sized by it.
+  if (n > rows.remaining() / (sizeof(uint8_t) + sizeof(uint64_t) +
+                              (q_ + 2) * sizeof(double))) {
+    return Status::IoError("OrderCore: snapshot row block overruns");
+  }
   std::vector<uint8_t> alive(n);
   std::vector<uint64_t> seqs(n);
-  for (size_t i = 0; i < n; ++i) alive[i] = rows.U8();
-  for (size_t i = 0; i < n; ++i) seqs[i] = rows.U64();
+  rows.Bytes(alive.data(), n);
+  rows.Bytes(seqs.data(), n * sizeof(uint64_t));
   std::vector<double> bounds(n);
   rows.Doubles(bounds.data(), n);
   std::vector<double> pts(n * q_);
@@ -1012,11 +1031,11 @@ Status OrderCore::RestoreFrom(const persist::SnapshotView& view) {
       if (!ords.ok() || len > n) {
         return Status::IoError("OrderCore: snapshot order block overruns");
       }
-      (*out)[i].resize(len);
-      for (uint32_t e = 0; e < len; ++e) {
-        (*out)[i][e].index = ords.U64();
-        (*out)[i][e].distance = ords.F64();
-        if ((*out)[i][e].index >= n) {
+      std::vector<neighbors::Neighbor>& order = (*out)[i];
+      order.resize(len);
+      ords.Bytes(order.data(), len * sizeof(neighbors::Neighbor));
+      for (const neighbors::Neighbor& nb : order) {
+        if (nb.index >= n) {
           return Status::IoError("OrderCore: snapshot order block overruns");
         }
       }
@@ -1069,13 +1088,11 @@ Status OrderCore::RestoreFrom(const persist::SnapshotView& view) {
   for (size_t i = 0; i < n; ++i) {
     consumed[i] = mods.U64();
     dirty[i] = mods.U8();
-    size_t acc_rows = mods.U64();
-    linalg::Matrix u(p1, p1);
-    for (size_t r = 0; r < p1; ++r) mods.Doubles(u.RowPtr(r), p1);
-    linalg::Vector v(p1);
-    mods.Doubles(v.data(), p1);
     accums.emplace_back(q_);
-    RETURN_IF_ERROR(accums.back().RestoreState(u, v, acc_rows));
+    regress::IncrementalRidge::StateBuffers acc =
+        accums.back().RestoreInPlace(mods.U64());
+    mods.Doubles(acc.u, p1 * p1);
+    mods.Doubles(acc.v, p1);
     uint32_t philen = mods.U32();
     if (!mods.ok() || philen > p1) {
       return Status::IoError("OrderCore: snapshot model block overruns");
@@ -1107,33 +1124,40 @@ Status OrderCore::RestoreFrom(const persist::SnapshotView& view) {
   }
   RETURN_IF_ERROR(index_.RestoreState(std::move(pts), alive));
 
-  // Reverse postings are derivable: holder i lists every non-self entry
-  // of its order. Ascending i reproduces the ascending-holder layout a
-  // fresh core maintains; the recomputed edge count must agree with the
-  // serialized gauge.
-  postings_.assign(n, {});
-  size_t edges = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (alive[i] == 0) continue;
-    for (const neighbors::Neighbor& nb : orders[i]) {
-      if (nb.index != i) {
-        postings_[nb.index].push_back(i);
-        ++edges;
+  // Reverse lists are derivable: slot s lists every live i whose
+  // forward order holds s (self-edges skipped for the postings).
+  // Ascending i reproduces the ascending layout a fresh core maintains;
+  // a counting pass sizes each list before the fill. Returns the edges.
+  auto reverse_lists = [&](const std::vector<std::vector<neighbors::Neighbor>>&
+                               forward,
+                           bool skip_self,
+                           std::vector<std::vector<size_t>>* out) {
+    std::vector<size_t> degree(n, 0);
+    for (size_t i = 0; i < n; ++i) {
+      if (alive[i] == 0) continue;
+      for (const neighbors::Neighbor& nb : forward[i]) {
+        if (!skip_self || nb.index != i) ++degree[nb.index];
       }
     }
-  }
-  if (edges != ct.postings_edges) {
+    out->assign(n, {});
+    size_t edges = 0;
+    for (size_t s = 0; s < n; ++s) {
+      (*out)[s].reserve(degree[s]);
+      edges += degree[s];
+    }
+    for (size_t i = 0; i < n; ++i) {
+      if (alive[i] == 0) continue;
+      for (const neighbors::Neighbor& nb : forward[i]) {
+        if (!skip_self || nb.index != i) (*out)[nb.index].push_back(i);
+      }
+    }
+    return edges;
+  };
+  // The recomputed edge count must agree with the serialized gauge.
+  if (reverse_lists(orders, true, &postings_) != ct.postings_edges) {
     return Status::IoError("OrderCore: snapshot counters are inconsistent");
   }
-  if (adaptive) {
-    vpost_.assign(n, {});
-    for (size_t j = 0; j < n; ++j) {
-      if (alive[j] == 0) continue;
-      for (const neighbors::Neighbor& nb : vorders[j]) {
-        vpost_[nb.index].push_back(j);
-      }
-    }
-  }
+  if (adaptive) reverse_lists(vorders, false, &vpost_);
 
   orders_ = std::move(orders);
   accums_ = std::move(accums);
@@ -1144,6 +1168,7 @@ Status OrderCore::RestoreFrom(const persist::SnapshotView& view) {
   alive_ = std::move(alive);
   seq_of_slot_ = std::move(seqs);
   slot_of_seq_.clear();
+  slot_of_seq_.reserve(live);
   for (size_t i = 0; i < n; ++i) {
     if (alive_[i] != 0) slot_of_seq_.emplace(seq_of_slot_[i], i);
   }

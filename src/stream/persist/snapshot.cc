@@ -51,6 +51,15 @@ void SnapshotBuilder::PutDoubles(const double* p, size_t n) {
   AppendRaw(&sections_.back().second, p, n * sizeof(double));
 }
 
+void SnapshotBuilder::PutBytes(const void* p, size_t n) {
+  AppendRaw(&sections_.back().second, p, n);
+}
+
+void SnapshotBuilder::Reserve(size_t n) {
+  std::string& s = sections_.back().second;
+  s.reserve(s.size() + n);
+}
+
 std::string SnapshotBuilder::Finish() {
   std::string out;
   size_t total = kHeaderLen + kFooterLen;
@@ -63,14 +72,22 @@ std::string SnapshotBuilder::Finish() {
   AppendScalar<uint32_t>(&out, static_cast<uint32_t>(sections_.size()));
   AppendScalar<uint32_t>(&out, Crc32(out.data(), out.size()));
 
+  // The footer CRC is the CRC of every byte above; the payload parts
+  // enter it through their section CRCs instead of a second pass.
+  uint32_t file_crc = Crc32(out.data(), out.size());
   for (const auto& s : sections_) {
+    size_t at = out.size();
     AppendScalar<uint32_t>(&out, s.first);
     AppendScalar<uint64_t>(&out, static_cast<uint64_t>(s.second.size()));
+    file_crc = Crc32(out.data() + at, out.size() - at, file_crc);
     out.append(s.second);
-    AppendScalar<uint32_t>(&out, Crc32(s.second.data(), s.second.size()));
+    uint32_t crc = Crc32(s.second.data(), s.second.size());
+    file_crc = Crc32Combine(file_crc, crc, s.second.size());
+    AppendScalar<uint32_t>(&out, crc);
+    file_crc = Crc32(out.data() + out.size() - 4, 4, file_crc);
   }
 
-  AppendScalar<uint32_t>(&out, Crc32(out.data(), out.size()));
+  AppendScalar<uint32_t>(&out, file_crc);
   AppendRaw(&out, kFooterMagic, sizeof(kFooterMagic));
   return out;
 }
@@ -111,14 +128,12 @@ double SectionReader::F64() {
 }
 
 void SectionReader::Doubles(double* out, size_t n) {
+  Bytes(out, n * sizeof(double));
+}
+
+void SectionReader::Bytes(void* out, size_t n) {
   if (n == 0) return;  // out may be null (an empty vector's data())
-  if (failed_ || len_ - pos_ < n * sizeof(double)) {
-    failed_ = true;
-    std::memset(out, 0, n * sizeof(double));
-    return;
-  }
-  std::memcpy(out, data_ + pos_, n * sizeof(double));
-  pos_ += n * sizeof(double);
+  Take(out, n);
 }
 
 Status SectionReader::status() const {
@@ -144,17 +159,17 @@ Result<SnapshotView> SnapshotView::Parse(const std::string& bytes) {
   if (header_crc != Crc32(p, kHeaderLen - 4)) return corrupt("header CRC");
   if (version != kSnapshotVersion) return corrupt("unknown version");
 
-  // Whole-file CRC next: it covers every section, so a single pass
-  // decides validity before any per-section work.
   size_t footer_at = bytes.size() - kFooterLen;
   if (std::memcmp(p + footer_at + 4, kFooterMagic, sizeof(kFooterMagic)) !=
       0) {
     return corrupt("bad footer magic");
   }
-  uint32_t file_crc;
-  std::memcpy(&file_crc, p + footer_at, 4);
-  if (file_crc != Crc32(p, footer_at)) return corrupt("file CRC");
 
+  // One pass: each payload is hashed once for its section CRC, and the
+  // whole-file CRC is assembled from the header, the tag/len and CRC
+  // bytes and those section CRCs — the same value a second pass over
+  // every byte before the footer would give.
+  uint32_t file_crc = Crc32(p, kHeaderLen);
   SnapshotView view;
   view.ops_ = ops;
   size_t pos = kHeaderLen;
@@ -169,13 +184,18 @@ Result<SnapshotView> SnapshotView::Parse(const std::string& bytes) {
     }
     const char* payload = p + pos + 12;
     std::memcpy(&crc, payload + len, 4);
-    if (crc != Crc32(payload, static_cast<size_t>(len))) {
-      return corrupt("section CRC");
-    }
+    uint32_t payload_crc = Crc32(payload, static_cast<size_t>(len));
+    if (crc != payload_crc) return corrupt("section CRC");
+    file_crc = Crc32(p + pos, 12, file_crc);
+    file_crc = Crc32Combine(file_crc, payload_crc, len);
+    file_crc = Crc32(payload + len, 4, file_crc);
     view.spans_.push_back(Span{tag, payload, static_cast<size_t>(len)});
     pos += kSectionOverhead + static_cast<size_t>(len);
   }
   if (pos != footer_at) return corrupt("trailing bytes");
+  uint32_t stored_file_crc;
+  std::memcpy(&stored_file_crc, p + footer_at, 4);
+  if (stored_file_crc != file_crc) return corrupt("file CRC");
   return view;
 }
 

@@ -15,7 +15,12 @@
 // truncated or bit-flipped snapshot file is rejected as a whole and
 // recovery falls back to an older one (or a cold engine) instead of
 // restoring half a relation. Within a section, payloads are columnar:
-// whole arrays of like-typed values, written with PutU64s/PutDoubles.
+// whole arrays of like-typed values, written with PutDoubles/PutBytes.
+//
+// Each byte is checksummed once: Finish and Parse hash every payload for
+// its section CRC and derive the footer CRC from those with Crc32Combine
+// (plus the few header, tag/len and CRC bytes), so the footer costs no
+// second pass over the image yet still covers every byte before it.
 
 #ifndef IIM_STREAM_PERSIST_SNAPSHOT_H_
 #define IIM_STREAM_PERSIST_SNAPSHOT_H_
@@ -64,6 +69,11 @@ class SnapshotBuilder {
   void PutU64(uint64_t v);
   void PutF64(double v);
   void PutDoubles(const double* p, size_t n);
+  // Raw bytes (an array of fixed-layout records, written in one append).
+  void PutBytes(const void* p, size_t n);
+  // Capacity hint for the current section: at least `n` more bytes are
+  // coming, so they land without regrowing the buffer.
+  void Reserve(size_t n);
 
   // Seals the snapshot (header + sections + footer). The builder is
   // spent afterwards.
@@ -89,6 +99,8 @@ class SectionReader {
   double F64();
   // Reads n doubles into out (which must hold n).
   void Doubles(double* out, size_t n);
+  // Reads n raw bytes into out (the inverse of PutBytes).
+  void Bytes(void* out, size_t n);
 
   size_t remaining() const { return len_ - pos_; }
   bool ok() const { return !failed_; }
@@ -105,7 +117,7 @@ class SectionReader {
 };
 
 // A parsed, fully checksum-validated snapshot. Borrows the byte buffer
-// passed to Parse — keep it alive while reading sections.
+// passed to Parse — keep it alive (and unmoved) while reading sections.
 class SnapshotView {
  public:
   // Validates the whole container; any structural or checksum defect is

@@ -5,7 +5,6 @@
 #include <cstdlib>
 
 #include "common/failpoint.h"
-#include "stream/persist/snapshot.h"
 
 namespace iim::stream::persist {
 
@@ -93,13 +92,16 @@ Result<std::unique_ptr<StateStore>> StateStore::Open(const StoreOptions& opt) {
     std::string path = store->SnapPath(*it);
     Result<std::string> bytes = ReadFileToString(path);
     if (bytes.ok()) {
-      Result<SnapshotView> view = SnapshotView::Parse(bytes.value());
+      // Parsed in place from the member the view keeps borrowing.
+      store->snapshot_bytes_ = std::move(bytes).value();
+      Result<SnapshotView> view = SnapshotView::Parse(store->snapshot_bytes_);
       if (view.ok() && view.value().ops_covered() == *it) {
         store->has_snapshot_ = true;
-        store->snapshot_bytes_ = std::move(bytes).value();
+        store->snapshot_ = std::move(view).value();
         store->snapshot_ops_ = *it;
         break;
       }
+      store->snapshot_bytes_.clear();
     }
     (void)RemoveFile(path);
   }
@@ -142,6 +144,7 @@ Status StateStore::StartLogging(uint64_t ops) {
     if (start > ops) (void)RemoveFile(WalPath(start));
   }
   replay_starts_.clear();
+  snapshot_ = SnapshotView();
   snapshot_bytes_.clear();
   snapshot_bytes_.shrink_to_fit();
 

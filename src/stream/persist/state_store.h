@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "stream/persist/snapshot.h"
 #include "stream/persist/wal.h"
 
 namespace iim::stream::persist {
@@ -77,14 +78,17 @@ class StateStore {
 
   // --- Recovery plan (valid between Open and StartLogging) -------------
   bool has_snapshot() const { return has_snapshot_; }
-  const std::string& snapshot_bytes() const { return snapshot_bytes_; }
+  // The recovered snapshot, already parsed and checksum-validated by
+  // Open (its sections borrow the store's copy of the file bytes), so a
+  // restore decodes it without hashing the image a second time.
+  const SnapshotView& snapshot() const { return snapshot_; }
   uint64_t snapshot_ops() const { return snapshot_ops_; }
   // Reads the contiguous record chain following the recovered snapshot.
   std::vector<WalRecord> ReplayTail() const;
 
   // Call once, after replay: `ops` = snapshot_ops() + records actually
   // applied. Prunes dead-timeline segments and opens the active segment.
-  // Also releases the recovery plan's snapshot buffer.
+  // Also releases the recovery plan's snapshot bytes and view.
   Status StartLogging(uint64_t ops);
 
   // --- Logging (log-then-apply: call BEFORE applying the op; on error
@@ -145,6 +149,7 @@ class StateStore {
   // Recovery plan.
   bool has_snapshot_ = false;
   std::string snapshot_bytes_;
+  SnapshotView snapshot_;  // borrows snapshot_bytes_
   uint64_t snapshot_ops_ = 0;
   std::vector<uint64_t> replay_starts_;  // contiguity re-checked at read
 

@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -28,6 +29,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "crc32_reference.h"
 #include "stream/imputation_service.h"
 #include "stream/online_iim.h"
 #include "stream/persist/io.h"
@@ -244,6 +246,175 @@ TEST(SnapshotRoundTripTest, EveryByteFlipIsRejected) {
     EXPECT_FALSE(b->RestoreFromSnapshot(bad).ok()) << "byte " << i;
     EXPECT_EQ(b->size(), 0u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Wire format: the builder's bytes are exactly the layout snapshot.h
+// documents, checksummed by the bytewise reference CRC — so images
+// written before and after any codec change read back interchangeably.
+
+TEST(SnapshotFormatTest, FinishMatchesDocumentedLayout) {
+  std::vector<unsigned char> blob(5003);
+  Rng rng(17);
+  for (unsigned char& c : blob) {
+    c = static_cast<unsigned char>(rng.UniformInt(0, 255));
+  }
+  const uint64_t ops = 0x0102030405060708ull;
+  const double doubles[3] = {-1.5, 0.1, 1e300};
+
+  persist::SnapshotBuilder b(ops);
+  b.BeginSection(7);
+  b.PutU8(0xAB);
+  b.PutU32(0xDEADBEEFu);
+  b.PutU64(42);
+  b.PutF64(2.25);
+  b.PutDoubles(doubles, 3);
+  b.BeginSection(9);  // empty section
+  b.BeginSection(11);
+  b.Reserve(blob.size());
+  b.PutBytes(blob.data(), blob.size());
+  const std::string got = b.Finish();
+
+  auto put = [](std::string* out, const void* p, size_t n) {
+    out->append(static_cast<const char*>(p), n);
+  };
+  std::string sec7;
+  const uint8_t u8 = 0xAB;
+  const uint32_t u32 = 0xDEADBEEFu;
+  const uint64_t u64 = 42;
+  const double f64 = 2.25;
+  put(&sec7, &u8, 1);
+  put(&sec7, &u32, 4);
+  put(&sec7, &u64, 8);
+  put(&sec7, &f64, 8);
+  put(&sec7, doubles, sizeof(doubles));
+  const std::string sec11(reinterpret_cast<const char*>(blob.data()),
+                          blob.size());
+  const std::vector<std::pair<uint32_t, std::string>> sections = {
+      {7, sec7}, {9, std::string()}, {11, sec11}};
+
+  // header: "IIMSNP01" | u32 version | u64 ops | u32 nsections | u32 crc
+  std::string want = "IIMSNP01";
+  const uint32_t version = 1;
+  const uint32_t nsections = 3;
+  put(&want, &version, 4);
+  put(&want, &ops, 8);
+  put(&want, &nsections, 4);
+  const uint32_t header_crc = testing_util::ReferenceCrc32(want.data(), 24);
+  put(&want, &header_crc, 4);
+  // section: u32 tag | u64 len | payload | u32 crc(payload)
+  for (const auto& [tag, payload] : sections) {
+    const uint64_t len = payload.size();
+    const uint32_t crc =
+        testing_util::ReferenceCrc32(payload.data(), payload.size());
+    put(&want, &tag, 4);
+    put(&want, &len, 8);
+    want += payload;
+    put(&want, &crc, 4);
+  }
+  // footer: u32 crc(every byte before the footer) | "IIMSNPFT"
+  const uint32_t file_crc =
+      testing_util::ReferenceCrc32(want.data(), want.size());
+  put(&want, &file_crc, 4);
+  want += "IIMSNPFT";
+
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_TRUE(got == want);
+
+  // And the reader takes the same layout apart again.
+  Result<persist::SnapshotView> view = persist::SnapshotView::Parse(want);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  EXPECT_EQ(view.value().ops_covered(), ops);
+  Result<persist::SectionReader> r7 = view.value().Section(7);
+  ASSERT_TRUE(r7.ok());
+  EXPECT_EQ(r7.value().U8(), u8);
+  EXPECT_EQ(r7.value().U32(), u32);
+  EXPECT_EQ(r7.value().U64(), u64);
+  EXPECT_EQ(r7.value().F64(), f64);
+  double back[3];
+  r7.value().Doubles(back, 3);
+  EXPECT_EQ(std::memcmp(back, doubles, sizeof(doubles)), 0);
+  EXPECT_EQ(r7.value().remaining(), 0u);
+  EXPECT_TRUE(r7.value().ok());
+  Result<persist::SectionReader> r9 = view.value().Section(9);
+  ASSERT_TRUE(r9.ok());
+  EXPECT_EQ(r9.value().remaining(), 0u);
+  Result<persist::SectionReader> r11 = view.value().Section(11);
+  ASSERT_TRUE(r11.ok());
+  std::vector<unsigned char> blob_back(blob.size());
+  r11.value().Bytes(blob_back.data(), blob_back.size());
+  EXPECT_TRUE(r11.value().ok());
+  EXPECT_EQ(blob_back, blob);
+}
+
+// A durable reopen restores from the view the state store parsed at
+// open; RestoreFromSnapshot parses the bytes itself. Both must install
+// the same engine: same answers, same counters, bit for bit — before and
+// after further ops.
+TEST(SnapshotRoundTripTest, DurableReopenMatchesRestoreFromBytes) {
+  data::Table src = HeterogeneousTable(170, 4, 29);
+  core::IimOptions opt = RecoveryOptions();
+  std::vector<ScheduleOp> ops = MakeSchedule(5, 130, 12, 0.25, 0);
+  std::vector<std::vector<double>> probes = MakeProbes(src, 4);
+
+  ScopedTempDir dir;
+  core::IimOptions popt = opt;
+  popt.persist_dir = dir.path();
+  popt.keep_snapshots = 1;
+  uint64_t covered;
+  {
+    std::unique_ptr<OnlineIim> a = MakeEngine(src, popt);
+    DriveLogged(a.get(), src, ops, ops.size());
+    ASSERT_TRUE(a->SaveSnapshot().ok());  // covers every logged op
+    covered = a->durable_ops();
+  }
+  Result<std::string> bytes = persist::ReadFileToString(
+      dir.path() + "/snap-" + std::to_string(covered) + ".snap");
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+
+  std::unique_ptr<OnlineIim> from_bytes = MakeEngine(src, opt);
+  ASSERT_TRUE(from_bytes->RestoreFromSnapshot(bytes.value()).ok());
+  Result<std::unique_ptr<OnlineIim>> reopened =
+      OnlineIim::Create(src.schema(), kTarget, Features(), popt);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  OnlineIim* rec = reopened.value().get();
+  EXPECT_EQ(rec->stats().snapshots_loaded, 1u);
+  EXPECT_EQ(rec->stats().log_records_replayed, 0u);
+  EXPECT_EQ(rec->durable_ops(), covered);
+
+  auto expect_same_counters = [](const OnlineIim::Stats& x,
+                                 const OnlineIim::Stats& y,
+                                 const std::string& where) {
+    EXPECT_EQ(x.ingested, y.ingested) << where;
+    EXPECT_EQ(x.imputed, y.imputed) << where;
+    EXPECT_EQ(x.evicted, y.evicted) << where;
+    EXPECT_EQ(x.fast_path_appends, y.fast_path_appends) << where;
+    EXPECT_EQ(x.models_invalidated, y.models_invalidated) << where;
+    EXPECT_EQ(x.models_solved, y.models_solved) << where;
+    EXPECT_EQ(x.downdates, y.downdates) << where;
+    EXPECT_EQ(x.downdate_fallbacks, y.downdate_fallbacks) << where;
+    EXPECT_EQ(x.backfills, y.backfills) << where;
+    EXPECT_EQ(x.compactions, y.compactions) << where;
+    EXPECT_EQ(x.postings_edges, y.postings_edges) << where;
+    EXPECT_EQ(x.holders_invalidated, y.holders_invalidated) << where;
+    EXPECT_EQ(x.global_fits_reused, y.global_fits_reused) << where;
+    EXPECT_EQ(x.adaptive_l_changes, y.adaptive_l_changes) << where;
+    EXPECT_EQ(x.orders_scanned, y.orders_scanned) << where;
+    EXPECT_EQ(x.orders_admitted, y.orders_admitted) << where;
+    EXPECT_EQ(x.admission_skips, y.admission_skips) << where;
+    EXPECT_EQ(x.snapshots_loaded, y.snapshots_loaded) << where;
+  };
+  expect_same_counters(rec->stats(), from_bytes->stats(), "restored");
+  ExpectEngineStateEq(rec, from_bytes.get(), probes, "restored");
+  expect_same_counters(rec->stats(), from_bytes->stats(), "after probes");
+
+  for (size_t i = 130; i < src.NumRows(); ++i) {
+    Status sr = rec->Ingest(src.Row(i));
+    Status sb = from_bytes->Ingest(src.Row(i));
+    ASSERT_EQ(sr.ok(), sb.ok());
+  }
+  ExpectEngineStateEq(rec, from_bytes.get(), probes, "continued");
+  expect_same_counters(rec->stats(), from_bytes->stats(), "continued");
 }
 
 // ---------------------------------------------------------------------------
