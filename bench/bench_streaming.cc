@@ -45,12 +45,13 @@
 //
 // Phase 5 meters the masking-one-out monitoring tax: the same n-row
 // ingest with moo_sample_rate at the documented 1% deployment trickle,
-// against a fresh monitoring-off profile run back-to-back so machine
-// drift across the earlier phases cannot tilt the ratio. At 1% the
-// median arrival does no holdout work at all, so the ingest p50 must
-// stay within 1.05x of the disabled engine (with a small absolute
-// floor for machines where both p50s are microseconds of scheduling
-// noise); the probe counter doubles as coverage proof.
+// against monitoring off, in kMooReps interleaved off/on pairs (the
+// order alternates per pair, so machine drift cannot favor one side).
+// At 1% the median arrival does no holdout work at all, so the p50
+// cannot show the tax; the probed arrivals are the 1% tail. The gate is
+// therefore on the tail: the median over the pairs of the ingest p99.9
+// ratio on/off must stay within 1.5x, and the per-pair spread is
+// reported next to it. The probe counter doubles as coverage proof.
 //
 // Phase 0 also carries the admission-bound story: a third ingest profile
 // with options.admission_bound off (every arrival scans every live
@@ -77,8 +78,8 @@
 // checkpointing off, and inactive
 // fail points free (disarmed Inject <= 100 ns/call, armed-never-firing
 // durable ingest p50 within 1.5x of disarmed), and the 1%
-// masking-one-out trickle keeping ingest p50 within 1.05x of
-// monitoring off.
+// masking-one-out trickle keeping the median ingest p99.9 tax within
+// 1.5x of monitoring off.
 // Results are written as JSON for BENCH_streaming.json, opening with a
 // context block (host, core count, compiler, NDEBUG, commit) so numbers
 // from different machines or builds are never compared blind.
@@ -671,30 +672,44 @@ int main(int argc, char** argv) {
                                        kFailpointFloorSeconds);
 
   // Phase 5: the masking-one-out monitoring tax (see the header
-  // comment). A fresh back-to-back pair — monitoring off, then the 1%
-  // holdout trickle — on the identical stream and options.
-  IngestProfile moo_off = BuildEngine(data, target, features, opt, n);
+  // comment). Interleaved off/on pairs on the identical stream and
+  // options; each pair yields one p99.9 (and p50) ratio.
+  const size_t kMooReps = 5;
   iim::core::IimOptions moo_opt = opt;
   moo_opt.moo_sample_rate = 0.01;
-  IngestProfile moo_on = BuildEngine(data, target, features, moo_opt, n);
-  iim::stream::OnlineIim::Stats moo_stats = moo_on.engine->stats();
-  moo_off.engine.reset();
-  moo_on.engine.reset();
-  iim::LatencySummary ingest_moo_off = iim::Summarize(moo_off.seconds);
-  iim::LatencySummary ingest_moo_on = iim::Summarize(moo_on.seconds);
-  double moo_overhead_p50 =
-      ingest_moo_off.p50 > 0.0 ? ingest_moo_on.p50 / ingest_moo_off.p50 : 0.0;
-  // The p50 gate carries the same small absolute floor as the
-  // fail-point gate: on machines where both p50s sit at a few
-  // microseconds, a 1.05x ratio is scheduling weather, not a tax. The
-  // probe counter proves the trickle actually ran — a gate over an
-  // engine that never sampled would be vacuous.
-  const double kMooFloorSeconds = 0.00001;  // 10 us
+  std::vector<double> moo_off_p999, moo_on_p999, moo_ratio_p999,
+      moo_ratio_p50;
+  iim::stream::OnlineIim::Stats moo_stats;
+  size_t moo_min_samples = std::numeric_limits<size_t>::max();
+  for (size_t rep = 0; rep < kMooReps; ++rep) {
+    IngestProfile off, on;
+    for (int side = 0; side < 2; ++side) {
+      const bool monitored = (side == 0) == (rep % 2 == 1);
+      IngestProfile& prof = monitored ? on : off;
+      prof = BuildEngine(data, target, features, monitored ? moo_opt : opt,
+                         n);
+      if (monitored) moo_stats = prof.engine->stats();
+      prof.engine.reset();
+    }
+    moo_min_samples = std::min(
+        moo_min_samples, std::min(off.seconds.size(), on.seconds.size()));
+    const double off_p999 = iim::Percentile(off.seconds, 99.9);
+    const double on_p999 = iim::Percentile(on.seconds, 99.9);
+    const double off_p50 = iim::Percentile(off.seconds, 50.0);
+    moo_off_p999.push_back(off_p999);
+    moo_on_p999.push_back(on_p999);
+    moo_ratio_p999.push_back(off_p999 > 0.0 ? on_p999 / off_p999 : 0.0);
+    moo_ratio_p50.push_back(
+        off_p50 > 0.0 ? iim::Percentile(on.seconds, 50.0) / off_p50 : 0.0);
+  }
+  const double moo_tax_p999 = iim::Percentile(moo_ratio_p999, 50.0);
+  const double moo_tax_p999_min =
+      *std::min_element(moo_ratio_p999.begin(), moo_ratio_p999.end());
+  const double moo_tax_p999_max =
+      *std::max_element(moo_ratio_p999.begin(), moo_ratio_p999.end());
+  const double moo_tax_p50 = iim::Percentile(moo_ratio_p50, 50.0);
   bool moo_covered = moo_stats.moo_probes > 0;
-  bool moo_ok =
-      moo_covered &&
-      ingest_moo_on.p50 <= std::max(1.05 * ingest_moo_off.p50,
-                                    ingest_moo_off.p50 + kMooFloorSeconds);
+  bool moo_ok = moo_covered && moo_tax_p999 <= 1.5;
 
   const auto& stats = online.stats();
   const auto& wstats = windowed.stats();
@@ -714,8 +729,7 @@ int main(int argc, char** argv) {
                     half_evict_seconds.size() >= kMinTailSamples &&
                     persisted.seconds.size() >= kMinTailSamples &&
                     armed.seconds.size() >= kMinTailSamples &&
-                    moo_off.seconds.size() >= kMinTailSamples &&
-                    moo_on.seconds.size() >= kMinTailSamples;
+                    moo_min_samples >= kMinTailSamples;
 
   std::printf("n=%zu arrivals=%zu (initial build %.3f s in-lock, %.3f s "
               "background)\n",
@@ -823,16 +837,21 @@ int main(int argc, char** argv) {
               failpoint_ok ? "OK" : "DEVIATES");
   std::printf("\nmasking-one-out quality monitoring (moo_sample_rate = "
               "0.01):\n");
-  PrintLatency("  ingest, monitoring off", moo_off.seconds);
-  PrintLatency("  ingest, 1% holdout trickle", moo_on.seconds);
-  std::printf("%-34s %12.3fx over %llu probes (%llu skipped)\n",
-              "moo ingest p50 tax", moo_overhead_p50,
+  std::printf("%-34s %9.4f ms off, %9.4f ms on (medians of %zu "
+              "interleaved pairs)\n",
+              "  ingest p99.9", iim::Percentile(moo_off_p999, 50.0) * 1e3,
+              iim::Percentile(moo_on_p999, 50.0) * 1e3, kMooReps);
+  std::printf("%-34s %12.3fx median (pairs %.3fx .. %.3fx) over %llu "
+              "probes (%llu skipped)\n",
+              "moo ingest p99.9 tax", moo_tax_p999, moo_tax_p999_min,
+              moo_tax_p999_max,
               static_cast<unsigned long long>(moo_stats.moo_probes),
               static_cast<unsigned long long>(moo_stats.moo_skipped));
-  std::printf("SHAPE CHECK: 1%% masking-one-out trickle keeps ingest p50 "
-              "within 1.05x of monitoring off (or %.0f us absolute), "
-              "probes ran ... %s\n",
-              kMooFloorSeconds * 1e6, moo_ok ? "OK" : "DEVIATES");
+  std::printf("%-34s %12.3fx median\n", "moo ingest p50 tax", moo_tax_p50);
+  std::printf("SHAPE CHECK: 1%% masking-one-out trickle keeps the median "
+              "ingest p99.9 tax within 1.5x of monitoring off, probes "
+              "ran ... %s\n",
+              moo_ok ? "OK" : "DEVIATES");
   std::printf("SHAPE CHECK: mean affected orders per arrival within 5%% of "
               "the live count ... %s\n",
               affected_ok ? "OK" : "DEVIATES");
@@ -1004,20 +1023,23 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  ],\n");
   std::fprintf(out,
                "  \"moo_sample_rate\": 0.01,\n"
-               "  \"ingest_p50_seconds_moo_off\": %.9f,\n"
-               "  \"ingest_p99_seconds_moo_off\": %.9f,\n"
-               "  \"ingest_p50_seconds_moo\": %.9f,\n"
-               "  \"ingest_p99_seconds_moo\": %.9f,\n"
+               "  \"moo_pairs\": %zu,\n"
+               "  \"ingest_p999_seconds_moo_off_median\": %.9f,\n"
+               "  \"ingest_p999_seconds_moo_median\": %.9f,\n"
                "  \"moo_probes\": %llu,\n"
                "  \"moo_skipped\": %llu,\n"
-               "  \"moo_overhead_ratio_p50\": %.3f,\n"
+               "  \"moo_overhead_ratio_p999_median\": %.3f,\n"
+               "  \"moo_overhead_ratio_p999_min\": %.3f,\n"
+               "  \"moo_overhead_ratio_p999_max\": %.3f,\n"
+               "  \"moo_overhead_ratio_p50_median\": %.3f,\n"
                "  \"moo_overhead_within_gate\": %s\n"
                "}\n",
-               ingest_moo_off.p50, ingest_moo_off.p99, ingest_moo_on.p50,
-               ingest_moo_on.p99,
+               kMooReps, iim::Percentile(moo_off_p999, 50.0),
+               iim::Percentile(moo_on_p999, 50.0),
                static_cast<unsigned long long>(moo_stats.moo_probes),
                static_cast<unsigned long long>(moo_stats.moo_skipped),
-               moo_overhead_p50, moo_ok ? "true" : "false");
+               moo_tax_p999, moo_tax_p999_min, moo_tax_p999_max,
+               moo_tax_p50, moo_ok ? "true" : "false");
   std::fclose(out);
   std::printf("wrote %s\n", out_path);
   return fast_enough && identical && evict_fast_enough && windowed_matches &&

@@ -52,13 +52,14 @@
 // Act six asks the question the agreement checks above cannot: is the
 // imputation any good *right now*? moo_sample_rate arms the
 // masking-one-out monitor — a deterministic hash picks 1% of arrivals,
-// holds one monitored cell out, and imputes it from the pre-arrival
-// window by IIM plus three cheap challengers (column mean, kNN, global
-// ridge); the absolute errors feed per-column decayed estimates and
+// masks their power reading, and imputes it from the pre-arrival window
+// through the engine's own impute path (the served IIM models, and kNN
+// from the same neighbours) plus two cheap challengers (column mean,
+// global ridge); the absolute errors feed decayed estimates and
 // percentile rings surfaced through the service stats. With
 // quality_routing = kAutoRoute each request is additionally served by
-// the target column's current champion method (hysteresis-guarded, with
-// a weighted ensemble while a fresh champion settles). The deployment
+// the current champion method (hysteresis-guarded, with a weighted
+// ensemble while a fresh champion settles). The deployment
 // here runs four laps of the stream through a sliding window; on the
 // last two laps the power channel recalibrates — exactly the drift a
 // batch-agreement check is blind to and the monitor exists to expose.
@@ -680,14 +681,11 @@ int main() {
               "ensemble serves, %zu champion switches\n",
               qstats.moo_probes, qstats.moo_skipped, qstats.routed_serves,
               qstats.ensemble_serves, qstats.champion_switches);
-  std::printf("Held-out absolute error per channel (decayed rms, then the "
+  std::printf("Held-out absolute error (decayed rms, then the "
               "recent-error percentiles):\n");
-  for (size_t c = 0; c < qstats.quality.size(); ++c) {
-    const iim::stream::QualityColumnStats& col = qstats.quality[c];
+  for (const iim::stream::QualityColumnStats& col : qstats.quality) {
     const std::string& name =
-        c < features.size()
-            ? readings.schema().name(static_cast<size_t>(features[c]))
-            : readings.schema().name(static_cast<size_t>(target));
+        readings.schema().name(static_cast<size_t>(target));
     std::printf("  %s: %llu holdouts, champion %s\n", name.c_str(),
                 static_cast<unsigned long long>(col.holdouts),
                 iim::stream::QualityMethodName(col.champion));
@@ -702,8 +700,8 @@ int main() {
                   col.abs_error[mi].p99, col.abs_error[mi].max);
     }
   }
-  if (qstats.moo_probes == 0 ||
-      qstats.quality.size() != features.size() + 1) {
+  // One estimator block: the target, the only cell a probe masks.
+  if (qstats.moo_probes == 0 || qstats.quality.size() != 1) {
     std::fprintf(stderr, "quality act left unexpected state\n");
     return 1;
   }

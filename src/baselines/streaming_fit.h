@@ -4,13 +4,12 @@
 // The batch baselines (MeanImputer, GlrImputer) re-scan the whole relation
 // on every Fit, which is fine for one-shot evaluation but not for a probe
 // that runs inside the ingest path. These adapters maintain the same
-// sufficient statistics incrementally: a per-column running sum for the
-// mean, and one IncrementalRidge accumulator per column for the global
-// regression (predicting each column from all the others). Window
-// evictions down-date the accumulators in place; when the ridge
-// conditioning guard refuses a down-date the affected column is flagged
-// and lazily restreamed from the caller's row source, mirroring the
-// down-date/restream protocol of stream::OrderCore.
+// sufficient statistics of the target incrementally: a running sum for
+// the mean, and one IncrementalRidge accumulator for the global
+// regression of the target on the p features. Window evictions down-date
+// them in place; when the ridge conditioning guard refuses a down-date,
+// the fit is flagged and lazily restreamed from the caller's row source,
+// mirroring the down-date/restream protocol of stream::OrderCore.
 
 #ifndef IIM_BASELINES_STREAMING_FIT_H_
 #define IIM_BASELINES_STREAMING_FIT_H_
@@ -26,69 +25,59 @@
 
 namespace iim::baselines {
 
-// Running per-column mean over a multiset of d-dimensional rows.
+// Emits every current (features, target) pair exactly once — the restream
+// fallback when a down-date is refused (or the fitted state was never
+// built, e.g. after a snapshot restore). `emit` must be invoked
+// synchronously, with p feature values per row.
+using RowSource = std::function<void(
+    const std::function<void(const double* x, double y)>& emit)>;
+
+// Running mean of the target over a multiset of rows.
 class StreamingMeanFit {
  public:
-  explicit StreamingMeanFit(size_t d) : d_(d), sums_(d, 0.0) {}
-
-  void Add(const double* row);
-  void Remove(const double* row);
+  void Add(double y);
+  void Remove(double y);
+  // Drops every row (an exact zero restart).
+  void Reset();
 
   size_t rows() const { return rows_; }
-  // Mean of column c over the current rows; NotFound while empty.
-  Result<double> Mean(size_t c) const;
+  // Mean over the current rows; NotFound while empty.
+  Result<double> Mean() const;
 
  private:
-  size_t d_;
   size_t rows_ = 0;
-  std::vector<double> sums_;
+  double sum_ = 0.0;
 };
 
-// Global ridge regression of every column on all the others, maintained
-// incrementally: d accumulators, each over d-1 predictors. Predictors for
-// column c are the row's other columns in index order (the same gather
-// the quality monitor uses for its probes).
+// Global ridge regression of the target on the p features, maintained
+// incrementally.
 class StreamingRidgeFit {
  public:
-  // Emits every current row (length d) exactly once — the restream
-  // fallback when a down-date is refused. The emit callback must be
-  // invoked synchronously.
-  using RowSource =
-      std::function<void(const std::function<void(const double*)>& emit)>;
+  StreamingRidgeFit(size_t p, double alpha);
 
-  StreamingRidgeFit(size_t d, double alpha);
+  void Add(const double* x, double y);
+  // Down-dates the accumulator; a refused down-date flags it for a lazy
+  // restream instead of corrupting its conditioning.
+  void Remove(const double* x, double y);
+  // Forgets the folded rows: the next Predict restreams from its source.
+  void MarkStale();
 
-  void Add(const double* row);
-  // Down-dates every column's accumulator; a refused down-date flags that
-  // column for a lazy restream instead of corrupting its conditioning.
-  void Remove(const double* row);
+  // Predicts the target at x. Restreams the accumulator from `source`
+  // first if it is stale. Fails (NotFound) while the source is empty.
+  Result<double> Predict(const double* x, const RowSource& source);
 
-  // Predicts row[c] from the row's other columns. Restreams the column's
-  // accumulator from `source` first if a down-date was refused since the
-  // last rebuild. Fails (NotFound) while no rows are folded in.
-  Result<double> Predict(size_t c, const double* row,
-                         const RowSource& source);
-
-  size_t rows() const { return rows_; }
-  // Columns rebuilt from scratch after a refused down-date (telemetry).
+  // Rebuilds from scratch after a refused down-date or MarkStale
+  // (telemetry).
   uint64_t restreams() const { return restreams_; }
 
  private:
-  // Gathers the d-1 predictors of column c into x_.
-  void GatherInto(size_t c, const double* row);
-  // Solved model for column c, rebuilding/caching as needed.
-  Result<const regress::LinearModel*> ModelFor(size_t c,
-                                               const RowSource& source);
-
-  size_t d_;
+  size_t p_;
   double alpha_;
-  size_t rows_ = 0;
   uint64_t restreams_ = 0;
-  std::vector<regress::IncrementalRidge> acc_;  // one per column
-  std::vector<uint8_t> needs_restream_;         // per column
-  std::vector<uint8_t> model_valid_;            // per column
-  std::vector<regress::LinearModel> models_;    // per column, lazily solved
-  std::vector<double> x_;                       // gather scratch, d-1
+  regress::IncrementalRidge acc_;
+  bool stale_ = false;
+  bool model_valid_ = false;
+  regress::LinearModel model_;
 };
 
 }  // namespace iim::baselines

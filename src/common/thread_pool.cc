@@ -116,6 +116,11 @@ std::future<void> ThreadPool::Submit(std::function<void()> fn) {
   auto task =
       std::make_shared<std::packaged_task<void()>>(std::move(fn));
   std::future<void> fut = task->get_future();
+  Post(std::move(task));
+  return fut;
+}
+
+void ThreadPool::Post(std::shared_ptr<std::packaged_task<void()>> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     tasks_.push_back(std::move(task));
@@ -126,7 +131,6 @@ std::future<void> ThreadPool::Submit(std::function<void()> fn) {
     }
   }
   work_cv_.notify_one();
-  return fut;
 }
 
 void ThreadPool::ParallelFor(size_t n, size_t grain,

@@ -68,6 +68,11 @@ class ThreadPool {
   // job, and never on the calling thread — safe to call while holding
   // locks fn itself takes. ~ThreadPool waits for every submitted task.
   std::future<void> Submit(std::function<void()> fn);
+  // Submit for a task the caller packaged itself, so it can take the
+  // future first (under its own lock, say) and queue the task after
+  // releasing that lock — the pool mutex and worker wake-up then stay
+  // outside the caller's critical section.
+  void Post(std::shared_ptr<std::packaged_task<void()>> task);
 
   // Ensures at least one worker thread exists, spawning it now if the
   // pool was constructed 1-wide (whose workers are otherwise lazy).

@@ -131,22 +131,19 @@ struct IimOptions {
   size_t max_nondurable_ops = 0;
 
   // --- Quality monitoring (stream engines; see stream/quality.h) ---
-  // Masking-one-out holdout rate: the fraction of arriving tuples whose
-  // observed cells are (deterministically, by arrival-number hash)
-  // sampled for a prequential quality probe — one monitored cell is held
-  // out and imputed by IIM plus the mean/kNN/GLR challengers against the
-  // pre-arrival window, and the per-column error estimates decay toward
-  // the newest errors. 0 disables monitoring entirely (no monitor state,
-  // no per-ingest challenger maintenance).
+  // Masking-one-out holdout rate: the fraction of arriving tuples
+  // (deterministically, by arrival-number hash) sampled for a
+  // prequential quality probe — the target is masked and imputed through
+  // the engine's own read-only impute path (IIM, and kNN from the same k
+  // neighbours) plus the mean/GLR challengers against the pre-arrival
+  // window, and the error estimates decay toward the newest errors. 0
+  // disables monitoring entirely (no monitor state, no per-ingest
+  // challenger maintenance).
   double moo_sample_rate = 0.0;
   // Exponential-decay weight of the newest holdout error in the
-  // per-column estimates: est <- (1 - moo_decay) * est + moo_decay * err.
+  // estimates: est <- (1 - moo_decay) * est + moo_decay * err.
   double moo_decay = 0.05;
-  // Challenger fan-ins: kNN neighbors and IIM learning neighbors used by
-  // the probe imputers (0 = inherit k / ell).
-  size_t moo_knn = 0;
-  size_t moo_ell = 0;
-  // Routing guards: a column needs this many holdouts per method before
+  // Routing guards: the target needs this many holdouts per method before
   // its champion may switch, and a challenger must beat the incumbent's
   // decayed squared error by this fraction (hysteresis) to take over.
   size_t moo_min_samples = 32;

@@ -23,6 +23,20 @@ DynamicIndex::DynamicIndex(std::vector<int> cols, const Options& options)
     builder_ = std::make_unique<ThreadPool>(1);
     builder_->Prestart();
   }
+  ReserveLocked();  // no other thread can see the index yet
+}
+
+void DynamicIndex::ReserveLocked() {
+  if (options_.expected_live == 0) return;
+  const size_t live = options_.expected_live;
+  const size_t tombstones = std::max(
+      options_.min_compact_tombstones,
+      static_cast<size_t>(options_.max_tombstone_fraction *
+                          static_cast<double>(live + 1)) +
+          1);
+  const size_t slots = live + 1 + tombstones;
+  points_.reserve(slots * cols_.size());
+  alive_.reserve(slots);
 }
 
 DynamicIndex::~DynamicIndex() {
@@ -83,25 +97,26 @@ bool DynamicIndex::RebuildDueLocked() const {
   return due >= std::max(options_.min_rebuild_tail, tree_.built() / 4);
 }
 
-void DynamicIndex::RebuildLocked() {
-  if (options_.background_rebuild) {
-    LaunchRebuildLocked();
-  } else {
-    tree_.Build(points_.data(), n_, cols_.size());
-    ++rebuilds_;
-  }
+DynamicIndex::BuildTask DynamicIndex::RebuildLocked() {
+  if (options_.background_rebuild) return PrepareBuildLocked();
+  tree_.Build(points_.data(), n_, cols_.size());
+  ++rebuilds_;
+  return nullptr;
 }
 
-void DynamicIndex::LaunchRebuildLocked() {
+void DynamicIndex::LaunchBuild(BuildTask task) {
+  // The constructor created and prestarted the builder for every
+  // background_rebuild index, so no OS thread is spawned here either.
+  if (task != nullptr) builder_->Post(std::move(task));
+}
+
+DynamicIndex::BuildTask DynamicIndex::PrepareBuildLocked() {
   pending_ = std::make_shared<PendingBuild>();
   pending_->n = n_;
-  // The constructor created and prestarted the builder for every
-  // background_rebuild index — creating it here would put OS thread
-  // spawning inside the writer-lock hold.
   assert(builder_ != nullptr);
   ++launches_;
   std::shared_ptr<PendingBuild> p = pending_;
-  build_future_ = builder_->Submit([this, p] {
+  auto task = std::make_shared<std::packaged_task<void()>>([this, p] {
     size_t d = cols_.size();
     {
       // Brief reader-side pass: copy the buffer while writers are out.
@@ -139,15 +154,21 @@ void DynamicIndex::LaunchRebuildLocked() {
     }
     p->done.store(true, std::memory_order_release);
   });
+  // Set before the task is queued: a WaitForRebuild that sees pending_
+  // always finds the future of this build.
+  build_future_ = task->get_future().share();
+  return task;
 }
 
 void DynamicIndex::Append(const data::RowView& row) {
   neighbors::FlatKdTree retired;  // freed after the lock is released
+  BuildTask launch;               // queued after the lock is released
   std::unique_lock<std::shared_mutex> lock(mu_);
   Stopwatch hold;  // writer-lock hold: the ingest critical section
   size_t d = cols_.size();
-  // Plain push_back: capacity doubling keeps appends amortized O(1). (An
-  // exact-size reserve here would force a full copy on every arrival.)
+  // Plain push_back: within options_.expected_live the buffer was
+  // reserved up front; past it (or unbounded), capacity doubling keeps
+  // appends amortized O(1).
   for (size_t j = 0; j < d; ++j) {
     points_.push_back(row[static_cast<size_t>(cols_[j])]);
   }
@@ -157,9 +178,11 @@ void DynamicIndex::Append(const data::RowView& row) {
   // file the arrival into whichever tree is installed.
   retired = InstallLocked();
   if (!tree_.empty()) FileArrivalsLocked(&tree_);
-  if (RebuildDueLocked()) RebuildLocked();
+  if (RebuildDueLocked()) launch = RebuildLocked();
   max_append_hold_seconds_ =
       std::max(max_append_hold_seconds_, hold.ElapsedSeconds());
+  lock.unlock();
+  LaunchBuild(std::move(launch));
 }
 
 bool DynamicIndex::Remove(size_t slot) {
@@ -194,6 +217,7 @@ std::vector<size_t> DynamicIndex::Compact() {
   std::vector<uint8_t> alive;
   neighbors::FlatKdTree tree;
   std::vector<size_t> build_remap;  // the in-flight build's copy of remap
+  BuildTask launch;                 // queued after the lock is released
   size_t live = 0;
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
@@ -232,7 +256,7 @@ std::vector<size_t> DynamicIndex::Compact() {
   }
 
   // Install: the writer lock holds only for the O(1) buffer and tree
-  // swaps and a rebuild launch — the same install discipline as a
+  // swaps and packaging a due rebuild — the same install discipline as a
   // background-build swap, so concurrent queries are never blocked
   // behind the O(n·d) slide above. The old buffers and tree leave in
   // `packed`, `alive` and `tree`, freed after the lock is released.
@@ -251,10 +275,11 @@ std::vector<size_t> DynamicIndex::Compact() {
     // The renumbering kept the insert count, so a rebuild due now is
     // launched over the compacted buffer: it never covers the rows just
     // dropped, and no Append-side launch has to race this compaction.
-    if (RebuildDueLocked()) RebuildLocked();
+    if (RebuildDueLocked()) launch = RebuildLocked();
     max_compact_hold_seconds_ =
         std::max(max_compact_hold_seconds_, hold.ElapsedSeconds());
   }
+  LaunchBuild(std::move(launch));
   return remap;
 }
 
@@ -295,12 +320,18 @@ Status DynamicIndex::RestoreState(std::vector<double> points,
   }
   points_ = std::move(points);
   alive_ = std::move(alive);
+  ReserveLocked();
   n_ = alive_.size();
   dead_ = 0;
   for (uint8_t a : alive_) {
     if (a == 0) ++dead_;
   }
-  if (n_ - dead_ >= options_.kdtree_threshold && n_ > 0) RebuildLocked();
+  BuildTask launch;
+  if (n_ - dead_ >= options_.kdtree_threshold && n_ > 0) {
+    launch = RebuildLocked();
+  }
+  lock.unlock();
+  LaunchBuild(std::move(launch));
   return Status::OK();
 }
 

@@ -24,7 +24,11 @@
 // renumbers the finished tree through it: no build is ever thrown away
 // because the window moved. Per-arrival cost is thereby bounded: the
 // worst Append does a push, one leaf insert and a swap, never an
-// O(n log n) build under the writer lock.
+// O(n log n) build under the writer lock. A launching writer only
+// packages the build under the lock; the task is queued on the builder
+// (pool mutex, worker wake-up) after the lock is released. With
+// Options::expected_live set, the point buffer is reserved for the
+// window up front, so no push regrows it under the lock either.
 //
 // Eviction is two-phase. Remove(slot) *tombstones* the row: it stays in
 // the buffer and in its leaf (slot ids of the survivors are untouched)
@@ -86,6 +90,12 @@ class DynamicIndex final : public neighbors::NeighborIndex {
     // Append/Compact under the writer lock — the pre-overhaul behavior,
     // kept as the tail-latency baseline for benches.
     bool background_rebuild = true;
+    // The live count the owner holds the index at (its sliding window; 0
+    // = unbounded). The point buffer is reserved up front for that many
+    // rows plus the arrival that overflows them and the tombstones
+    // compaction tolerates, so Append never regrows it under the writer
+    // lock.
+    size_t expected_live = 0;
   };
 
   // One coherent snapshot of every counter, taken under a single lock
@@ -157,11 +167,11 @@ class DynamicIndex final : public neighbors::NeighborIndex {
   // both run into side buffers under a reader lock (the caller is the
   // engine's single writer, so slot state is stable for the whole call
   // and only queries / the background builder share the index), and the
-  // writer lock is taken only for the O(1) buffer and tree swaps plus a
-  // rebuild launch — the same double-buffer install discipline the
-  // background rebuild uses, so a compaction never blocks concurrent
-  // queries for the slide. The old buffers and tree are freed after the
-  // lock is released. With no tombstones it early-outs with the identity
+  // writer lock is taken only for the O(1) buffer and tree swaps (plus
+  // packaging a due rebuild, queued after the lock is released) — the
+  // same double-buffer install discipline the background rebuild uses,
+  // so a compaction never blocks concurrent queries for the slide. The
+  // old buffers and tree are freed after the lock is released. With no tombstones it early-outs with the identity
   // map, leaving the tree and any in-flight build untouched.
   std::vector<size_t> Compact();
 
@@ -264,13 +274,24 @@ class DynamicIndex final : public neighbors::NeighborIndex {
   // clears kdtree_threshold, and the leaf inserts since the last build
   // (every slot, with no tree) reach max(min_rebuild_tail, built / 4).
   bool RebuildDueLocked() const;
-  // Rebuilds over the current slots: launches a background build, or
-  // builds in place when background_rebuild is off (writer lock held by
-  // caller; no build may be pending).
-  void RebuildLocked();
-  // Launches a background build over the current slots (writer lock held
-  // by caller; no build may be pending).
-  void LaunchRebuildLocked();
+  // A background build, packaged but not yet queued: the launching
+  // writer hands it to the builder pool (LaunchBuild) only after
+  // releasing the writer lock.
+  using BuildTask = std::shared_ptr<std::packaged_task<void()>>;
+  // Rebuilds over the current slots: prepares a background build (the
+  // returned task), or builds in place when background_rebuild is off
+  // (returns null). Writer lock held by caller; no build may be pending.
+  BuildTask RebuildLocked();
+  // Prepares a background build over the current slots: pending_ and
+  // build_future_ are set, so waiters see the build at once (writer lock
+  // held by caller; no build may be pending).
+  BuildTask PrepareBuildLocked();
+  // Queues a prepared build on the builder (no lock held); no-op for
+  // null.
+  void LaunchBuild(BuildTask task);
+  // Reserves the point buffer and bitmap for options_.expected_live
+  // (lock held by caller).
+  void ReserveLocked();
 
   std::vector<int> cols_;
   Options options_;

@@ -18,6 +18,10 @@ namespace {
 // therefore the result order guarantees) aligned with the batch engine.
 constexpr size_t kBatchGrain = 16;
 
+// Engine layout version of the kSecMeta fingerprint. v4 dropped the
+// retired moo_knn/moo_ell probe fan-ins; older images are refused.
+constexpr uint32_t kEngineLayout = 4;
+
 }  // namespace
 
 Result<std::unique_ptr<OnlineIim>> OnlineIim::Create(
@@ -110,8 +114,18 @@ OnlineIim::OnlineIim(const data::Schema& schema, int target,
       table_(schema),
       core_(MakeOrderCoreConfig(options, features_.size())) {
   if (options_.moo_sample_rate > 0.0) {
+    // The challenger fits restream from the core's live rows, in slot
+    // (= arrival) order.
     monitor_ = std::make_unique<QualityMonitor>(
-        MakeQualityConfig(options_, q_));
+        MakeQualityConfig(options_, q_),
+        [this](const std::function<void(const double*, double)>& emit) {
+          const std::vector<uint8_t>& alive = core_.alive_slots();
+          for (size_t slot = 0; slot < alive.size(); ++slot) {
+            if (alive[slot] != 0) {
+              emit(core_.Features(slot), core_.Target(slot));
+            }
+          }
+        });
   }
 }
 
@@ -150,13 +164,12 @@ Status OnlineIim::Ingest(const data::RowView& row) {
   // so a failure leaves the engine unchanged.
   RETURN_IF_ERROR(table_.AppendRow(row.ToVector()));
   if (monitor_ != nullptr) {
-    // Prequential order: the probe runs against the PRE-arrival mirror
-    // (the holdout never matches itself), then the row joins it.
-    std::vector<double> mv(q_ + 1);
-    std::copy(f_new.begin(), f_new.end(), mv.begin());
-    mv[q_] = y_new;
-    monitor_->Observe(stats_.ingested, mv.data());
-    monitor_->Add(stats_.ingested, mv.data());
+    // Prequential order: the probe reads the PRE-arrival window (the
+    // holdout never matches itself), then the row joins it.
+    if (monitor_->ShouldProbe(stats_.ingested)) {
+      ProbeArrival(f_new.data(), y_new);
+    }
+    monitor_->Add(f_new.data(), y_new);
   }
   core_.Arrive(f_new.data(), y_new, stats_.ingested);
   ++stats_.ingested;
@@ -167,7 +180,9 @@ Status OnlineIim::Ingest(const data::RowView& row) {
   if (options_.window_size > 0) {
     while (core_.live() > options_.window_size) {
       size_t oldest = core_.OldestLiveSlot();
-      if (monitor_ != nullptr) monitor_->Remove(core_.SeqOf(oldest));
+      if (monitor_ != nullptr) {
+        monitor_->Remove(core_.Features(oldest), core_.Target(oldest));
+      }
       core_.EvictSlot(oldest);
     }
     MaybeCompact();
@@ -194,7 +209,9 @@ Status OnlineIim::Evict(uint64_t arrival) {
     RETURN_IF_ERROR(LogDurably([&] { return store_->LogEvict(arrival); },
                                &nondurable));
   }
-  if (monitor_ != nullptr) monitor_->Remove(arrival);
+  if (monitor_ != nullptr) {
+    monitor_->Remove(core_.Features(slot), core_.Target(slot));
+  }
   core_.EvictSlot(slot);
   live_cache_valid_ = false;
   MaybeCompact();
@@ -303,52 +320,63 @@ Status OnlineIim::CheckQuery(const data::RowView& tuple) const {
   return Status::OK();
 }
 
-Result<double> OnlineIim::AggregateClean(
-    const data::RowView& tuple,
-    const std::vector<neighbors::Neighbor>& nbrs) const {
-  std::vector<double> x(q_);
-  for (size_t j = 0; j < q_; ++j) {
-    x[j] = tuple[static_cast<size_t>(features_[j])];
-  }
+Result<double> OnlineIim::Aggregate(
+    const double* x, const std::vector<neighbors::Neighbor>& nbrs) const {
   std::vector<double> candidates;
   candidates.reserve(nbrs.size());
   for (const neighbors::Neighbor& nb : nbrs) {
     // Formula 9: t_x^j[Am] = (1, t_x[F]) phi_j.
-    candidates.push_back(core_.model(nb.index).Predict(x.data(), q_));
+    ASSIGN_OR_RETURN(double candidate, core_.PredictReadOnly(nb.index, x));
+    candidates.push_back(candidate);
   }
   return core::CombineCandidates(candidates, options_.uniform_weights);
 }
 
-QualityRoute OnlineIim::CurrentRoute() const {
-  if (monitor_ == nullptr) return QualityRoute::kIim;
-  QualityRoute route = monitor_->RouteTarget();
-  // A cold mirror (restored estimates, window not yet re-populated, or
-  // every monitored tuple evicted) cannot serve challengers — IIM does.
-  if (route != QualityRoute::kIim && monitor_->live() == 0) {
-    return QualityRoute::kIim;
+Result<double> OnlineIim::KnnTarget(
+    const std::vector<neighbors::Neighbor>& nbrs) const {
+  if (nbrs.empty()) {
+    return Status::NotFound("OnlineIim: no kNN neighbors");
   }
-  return route;
+  double sum = 0.0;
+  for (const neighbors::Neighbor& nb : nbrs) sum += core_.Target(nb.index);
+  return sum / static_cast<double>(nbrs.size());
+}
+
+void OnlineIim::ProbeArrival(const double* x, double y) {
+  if (core_.live() < 2) {
+    // Too little context for a meaningful probe; counted so operators
+    // can tell "no probes yet" from "stream too young".
+    monitor_->CountSkipped();
+    return;
+  }
+  // The target is masked: only the features reach the impute path, and
+  // dirty neighbour models are evaluated without being solved.
+  neighbors::QueryOptions qopt;
+  qopt.k = options_.k;
+  std::vector<neighbors::Neighbor> nbrs =
+      core_.index().Query(data::RowView(x, q_), qopt);
+  monitor_->RecordProbe(x, y, Aggregate(x, nbrs), KnnTarget(nbrs));
+}
+
+QualityRoute OnlineIim::CurrentRoute() const {
+  return monitor_ == nullptr ? QualityRoute::kIim : monitor_->RouteTarget();
 }
 
 Result<double> OnlineIim::ImputeOne(const data::RowView& tuple) {
   RETURN_IF_ERROR(CheckQuery(tuple));
   const QualityRoute route = CurrentRoute();
-  if (route != QualityRoute::kIim && route != QualityRoute::kEnsemble) {
-    std::vector<double> feat(q_);
-    for (size_t j = 0; j < q_; ++j) {
-      feat[j] = tuple[static_cast<size_t>(features_[j])];
-    }
-    auto served = monitor_->ServeTarget(feat.data(), route);
+  std::vector<double> probe(q_);
+  for (size_t j = 0; j < q_; ++j) {
+    probe[j] = tuple[static_cast<size_t>(features_[j])];
+  }
+  if (route == QualityRoute::kMean || route == QualityRoute::kGlr) {
+    auto served = monitor_->ServeTarget(probe.data(), route);
     if (served.ok()) {
       ++stats_.imputed;
       ++stats_.routed_serves;
       return served;
     }
     // Monitor could not answer — fall through to the IIM path.
-  }
-  std::vector<double> probe(q_);
-  for (size_t j = 0; j < q_; ++j) {
-    probe[j] = tuple[static_cast<size_t>(features_[j])];
   }
   neighbors::QueryOptions qopt;
   qopt.k = options_.k;
@@ -357,14 +385,20 @@ Result<double> OnlineIim::ImputeOne(const data::RowView& tuple) {
   if (nbrs.empty()) {
     return Status::Internal("OnlineIim: no imputation neighbors");
   }
+  if (route == QualityRoute::kKnn) {
+    ++stats_.imputed;
+    ++stats_.routed_serves;
+    return KnnTarget(nbrs);
+  }
   for (const neighbors::Neighbor& nb : nbrs) {
     RETURN_IF_ERROR(core_.EnsureModel(nb.index));
   }
   ++stats_.imputed;
-  Result<double> value = AggregateClean(tuple, nbrs);
+  Result<double> value = Aggregate(probe.data(), nbrs);
   if (route == QualityRoute::kEnsemble && value.ok()) {
     ++stats_.ensemble_serves;
-    return monitor_->EnsembleTarget(probe.data(), value.value());
+    return monitor_->EnsembleTarget(probe.data(), value.value(),
+                                    KnnTarget(nbrs));
   }
   return value;
 }
@@ -374,9 +408,10 @@ std::vector<Result<double>> OnlineIim::ImputeBatch(
   std::vector<Result<double>> out(rows.size(), Result<double>(0.0));
 
   // Routing is decided once per batch: imputations never mutate the
-  // monitor, so every row of the batch sees the same champion.
+  // monitor's estimates, so every row of the batch sees the same
+  // champion.
   const QualityRoute route = CurrentRoute();
-  if (route != QualityRoute::kIim && route != QualityRoute::kEnsemble) {
+  if (route == QualityRoute::kMean || route == QualityRoute::kGlr) {
     std::vector<double> feat(q_);
     for (size_t i = 0; i < rows.size(); ++i) {
       Status st = CheckQuery(rows[i]);
@@ -426,6 +461,22 @@ std::vector<Result<double>> OnlineIim::ImputeBatch(
   std::vector<std::vector<neighbors::Neighbor>> nbrs =
       core_.index().QueryMany(batch, options_.k, &pool);
 
+  if (route == QualityRoute::kKnn) {
+    // The kNN champion answers from the same neighbor lists; no model is
+    // touched.
+    for (size_t b = 0; b < batch.size(); ++b) {
+      size_t i = row_of_query[b];
+      if (nbrs[b].empty()) {
+        out[i] = Status::Internal("OnlineIim: no imputation neighbors");
+        continue;
+      }
+      out[i] = KnnTarget(nbrs[b]);
+      ++stats_.imputed;
+      ++stats_.routed_serves;
+    }
+    return out;
+  }
+
   // Phase 3 (serial): ensure every distinct neighbor model exactly once.
   // Serial keeps the core mutation trivially deterministic and race-free;
   // the set is small (<= k models per distinct neighborhood, most already
@@ -469,7 +520,7 @@ std::vector<Result<double>> OnlineIim::ImputeBatch(
         }
       }
       out[i] = failed != nullptr ? Result<double>(*failed)
-                                 : AggregateClean(rows[i], nbrs[b]);
+                                 : Aggregate(probes.data() + b * q_, nbrs[b]);
     }
   });
   // Mirror ImputeOne's accounting: only answered rows count as served.
@@ -484,7 +535,7 @@ std::vector<Result<double>> OnlineIim::ImputeBatch(
       if (!out[i].ok()) continue;
       ++stats_.ensemble_serves;
       out[i] = monitor_->EnsembleTarget(probes.data() + b * q_,
-                                        out[i].value());
+                                        out[i].value(), KnnTarget(nbrs[b]));
     }
   }
   return out;
@@ -525,14 +576,21 @@ OnlineIim::Stats OnlineIim::CounterStats() const {
 std::string OnlineIim::SerializeSnapshot() {
   size_t m = table_.NumCols();
   size_t n = core_.n();
-  persist::SnapshotBuilder b(store_ == nullptr ? 0 : store_->ops_logged());
+  // Sized up front (the bulk sections exactly, the small ones within a
+  // fixed allowance) so the builder never regrows the image.
+  constexpr size_t kSmallSectionsBound = 64 * 1024;
+  const size_t bound = kSmallSectionsBound + n * m * sizeof(double) +
+                       core_.SerializedBytesBound();
+  persist::SnapshotBuilder b(
+      store_ == nullptr ? 0 : store_->ops_logged(), bound,
+      store_ == nullptr ? std::string() : store_->TakeSpareImage());
 
   // Config fingerprint: everything that shapes results. Restoring under
   // different values would silently change answers, so Restore hard-fails
   // on any mismatch.
   const OrderCore::Config& cc = core_.config();
   b.BeginSection(persist::kSecMeta);
-  b.PutU32(3);  // engine layout version within the container
+  b.PutU32(kEngineLayout);
   b.PutU64(m);
   b.PutU32(static_cast<uint32_t>(target_));
   b.PutU64(q_);
@@ -548,11 +606,9 @@ std::string OnlineIim::SerializeSnapshot() {
   b.PutU64(cc.step_h);
   b.PutU64(cc.vk);
   // Quality-monitoring knobs shape routing decisions and the restored
-  // estimates' meaning, so they are part of the fingerprint (v3).
+  // estimates' meaning, so they are part of the fingerprint.
   b.PutF64(options_.moo_sample_rate);
   b.PutF64(options_.moo_decay);
-  b.PutU64(options_.moo_knn);
-  b.PutU64(options_.moo_ell);
   b.PutU64(options_.moo_min_samples);
   b.PutF64(options_.moo_margin);
   b.PutU8(options_.quality_routing ==
@@ -580,7 +636,9 @@ std::string OnlineIim::SerializeSnapshot() {
 
   core_.SerializeInto(&b);
   if (monitor_ != nullptr) monitor_->SerializeInto(&b);
-  return b.Finish();
+  std::string image = b.Finish();
+  assert(image.size() <= bound);
+  return image;
 }
 
 Status OnlineIim::RestoreFromSnapshot(const std::string& bytes) {
@@ -604,7 +662,7 @@ Status OnlineIim::RestoreFromView(const persist::SnapshotView& view) {
                    view.Section(persist::kSecMeta));
   size_t m = table_.NumCols();
   const OrderCore::Config& cc = core_.config();
-  if (meta.U32() != 3) return mismatch("engine layout version");
+  if (meta.U32() != kEngineLayout) return mismatch("engine layout version");
   if (meta.U64() != m) return mismatch("schema arity");
   if (meta.U32() != static_cast<uint32_t>(target_)) return mismatch("target");
   if (meta.U64() != q_) return mismatch("feature set");
@@ -634,8 +692,6 @@ Status OnlineIim::RestoreFromView(const persist::SnapshotView& view) {
   if (std::memcmp(&decay, &options_.moo_decay, sizeof(double)) != 0) {
     return mismatch("moo_decay");
   }
-  if (meta.U64() != options_.moo_knn) return mismatch("moo_knn");
-  if (meta.U64() != options_.moo_ell) return mismatch("moo_ell");
   if (meta.U64() != options_.moo_min_samples) {
     return mismatch("moo_min_samples");
   }
@@ -695,23 +751,12 @@ Status OnlineIim::RestoreFromView(const persist::SnapshotView& view) {
 
   table_ = std::move(restored);
   if (monitor_ != nullptr) {
-    // Estimates, rings and champions restore bitwise from their section;
-    // the mirror and challenger fits are rebuilt by re-adding the live
-    // window in arrival order (the fits restream, so their numerics match
-    // a fresh engine fed the same window, not necessarily the exact
-    // accumulator bits of the writer — documented in stream/quality.h).
+    // Estimates, rings and the champion restore bitwise from their
+    // section; the challenger fits restream from the restored window on
+    // first use (see stream/quality.h).
     ASSIGN_OR_RETURN(persist::SectionReader qr,
                      view.Section(persist::kSecQuality));
     RETURN_IF_ERROR(monitor_->RestoreFrom(&qr));
-    const std::vector<uint8_t>& alive = core_.alive_slots();
-    std::vector<double> mv(q_ + 1);
-    for (size_t slot = 0; slot < alive.size(); ++slot) {
-      if (alive[slot] == 0) continue;
-      std::copy(core_.Features(slot), core_.Features(slot) + q_,
-                mv.begin());
-      mv[q_] = core_.Target(slot);
-      monitor_->Add(core_.SeqOf(slot), mv.data());
-    }
   }
   stats_.ingested = ingested;
   stats_.imputed = imputed;

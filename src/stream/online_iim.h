@@ -142,8 +142,8 @@ class OnlineIim {
     size_t routed_serves = 0;
     size_t ensemble_serves = 0;
     size_t champion_switches = 0;
-    // Per-monitored-column estimator state (q feature columns then the
-    // target; empty when monitoring is off).
+    // The target's estimator state (one entry; empty when monitoring is
+    // off).
     std::vector<QualityColumnStats> quality;
   };
 
@@ -239,7 +239,7 @@ class OnlineIim {
   // Engine-owned cursors merged with the order-maintenance core's
   // counters (one coherent copy).
   Stats stats() const;
-  // stats() without `quality`: the per-column summaries re-run percentile
+  // stats() without `quality`: the estimator summary re-runs percentile
   // passes over every error ring, the one costly part of the copy. They
   // only change when a probe lands, so a frequent poller takes them from
   // quality_monitor()->ColumnStats() when probes() moved.
@@ -296,13 +296,20 @@ class OnlineIim {
 
   Status CheckQuery(const data::RowView& tuple) const;
   // The quality route every impute request in the current quiescent span
-  // is served by (kIim without a monitor, or while the mirror is cold).
+  // is served by (kIim without a monitor).
   QualityRoute CurrentRoute() const;
-  // Candidate collection + Formula 10-12 aggregation; models of `nbrs`
-  // must already be ensured.
-  Result<double> AggregateClean(
-      const data::RowView& tuple,
-      const std::vector<neighbors::Neighbor>& nbrs) const;
+  // The kNN challenger: the mean target over `nbrs` (NotFound if empty).
+  Result<double> KnnTarget(const std::vector<neighbors::Neighbor>& nbrs) const;
+  // One masking-one-out probe of a sampled arrival (features x, masked
+  // target y) against the PRE-arrival window, through the engine's own
+  // read-only impute path; the result lands in monitor_.
+  void ProbeArrival(const double* x, double y);
+  // Candidate collection + Formula 10-12 aggregation at the q gathered
+  // features x, through the core's read-only model evaluation: after
+  // EnsureModel over `nbrs` these are exactly the cached models; the
+  // quality probe calls it without, leaving dirty models unsolved.
+  Result<double> Aggregate(const double* x,
+                           const std::vector<neighbors::Neighbor>& nbrs) const;
   // Runs the core's compaction check and, when one fired, drops the same
   // tombstoned rows from the full-row table.
   void MaybeCompact();

@@ -57,6 +57,7 @@ OrderCore::Config MakeOrderCoreConfig(const core::IimOptions& options,
   c.vk = std::clamp<size_t>(vk, 1, core::kMaxValidationK);
   c.admission_bound = options.admission_bound;
   c.index.background_rebuild = options.background_rebuild;
+  c.index.expected_live = options.window_size;
   if (options.index_kdtree_threshold > 0) {
     c.index.kdtree_threshold = options.index_kdtree_threshold;
   }
@@ -615,6 +616,20 @@ Status OrderCore::EnsureModelFixed(size_t i) {
   return Status::OK();
 }
 
+Result<double> OrderCore::PredictReadOnly(size_t i, const double* x) const {
+  if (dirty_[i] == 0) return models_[i].Predict(x, q_);
+  const std::vector<neighbors::Neighbor>& order = orders_[i];
+  size_t ell = order.size();
+  if (config_.adaptive && chosen_ell_[i] != 0) {
+    ell = std::min(ell, chosen_ell_[i]);
+  }
+  std::vector<size_t> prefix(ell);
+  for (size_t e = 0; e < ell; ++e) prefix[e] = order[e].index;
+  ASSIGN_OR_RETURN(regress::LinearModel model,
+                   core::FitOverPrefix(fb_, prefix, ell, config_.alpha));
+  return model.Predict(x, q_);
+}
+
 void OrderCore::RefreshElls() {
   if (ells_live_ == live_) return;
   std::vector<size_t> fresh =
@@ -822,6 +837,47 @@ bool OrderCore::VerifyPostings() const {
   return true;
 }
 
+size_t OrderCore::RowsBytes() const {
+  return n_ * (sizeof(uint8_t) + sizeof(uint64_t) +
+               (q_ + 2) * sizeof(double));
+}
+
+size_t OrderCore::OrdersBytes() const {
+  size_t bytes = 0;
+  for (size_t i = 0; i < n_; ++i) {
+    bytes += sizeof(uint32_t) + orders_[i].size() * sizeof(neighbors::Neighbor);
+    if (config_.adaptive) {
+      bytes +=
+          sizeof(uint32_t) + vorders_[i].size() * sizeof(neighbors::Neighbor);
+    }
+  }
+  return bytes;
+}
+
+size_t OrderCore::ModelsBytes() const {
+  const size_t p1 = q_ + 1;
+  size_t bytes = 0;
+  for (size_t i = 0; i < n_; ++i) {
+    bytes += 2 * sizeof(uint64_t) + sizeof(uint8_t) + sizeof(uint32_t) +
+             (p1 * p1 + p1 + models_[i].phi.size()) * sizeof(double);
+    if (config_.adaptive) {
+      bytes += sizeof(uint64_t) + sizeof(uint8_t) + sizeof(uint32_t) +
+               cost_[i].size() * sizeof(double);
+    }
+  }
+  return bytes;
+}
+
+size_t OrderCore::SerializedBytesBound() const {
+  // Four section frames (tag, length, CRC), the meta section's scalars
+  // (well under 256 bytes) and its adaptive candidate lists, then the
+  // three bulk sections exactly.
+  const size_t meta = 256 + (ells_.size() + global_cost_.size()) *
+                                sizeof(uint64_t);
+  return 4 * (sizeof(uint32_t) + sizeof(uint64_t) + sizeof(uint32_t)) +
+         meta + RowsBytes() + OrdersBytes() + ModelsBytes();
+}
+
 void OrderCore::SerializeInto(persist::SnapshotBuilder* b) const {
   // The index's slot state is byte-for-byte derivable from the gathered
   // rows, so only the rows go into the image; debug builds check the
@@ -863,8 +919,7 @@ void OrderCore::SerializeInto(persist::SnapshotBuilder* b) const {
   // Gathered rows over ALL slots (tombstones keep their payload until
   // compaction, and the restored index needs the same slot geometry).
   b->BeginSection(persist::kSecCoreRows);
-  b->Reserve(n_ * (sizeof(uint8_t) + sizeof(uint64_t) +
-                   (q_ + 2) * sizeof(double)));
+  b->Reserve(RowsBytes());
   b->PutBytes(alive_.data(), n_);
   b->PutBytes(seq_of_slot_.data(), n_ * sizeof(uint64_t));
   // Admission bounds ride along even though they are derivable from the
@@ -881,14 +936,6 @@ void OrderCore::SerializeInto(persist::SnapshotBuilder* b) const {
   // static_assert above pins the record to the wire's 16 bytes).
   b->BeginSection(persist::kSecCoreOrders);
   using Orders = std::vector<std::vector<neighbors::Neighbor>>;
-  auto order_bytes = [&](const Orders& orders) {
-    size_t bytes = 0;
-    for (size_t i = 0; i < n_; ++i) {
-      bytes += sizeof(uint32_t) +
-               orders[i].size() * sizeof(neighbors::Neighbor);
-    }
-    return bytes;
-  };
   auto put_orders = [&](const Orders& orders) {
     for (size_t i = 0; i < n_; ++i) {
       const std::vector<neighbors::Neighbor>& order = orders[i];
@@ -896,8 +943,7 @@ void OrderCore::SerializeInto(persist::SnapshotBuilder* b) const {
       b->PutBytes(order.data(), order.size() * sizeof(neighbors::Neighbor));
     }
   };
-  b->Reserve(order_bytes(orders_) +
-             (config_.adaptive ? order_bytes(vorders_) : 0));
+  b->Reserve(OrdersBytes());
   put_orders(orders_);
   if (config_.adaptive) put_orders(vorders_);  // vpost_ is derivable
 
@@ -907,14 +953,8 @@ void OrderCore::SerializeInto(persist::SnapshotBuilder* b) const {
   // (costs, chosen l) ride along so a restored core reuses models
   // exactly where the writer would have.
   b->BeginSection(persist::kSecCoreModels);
-  size_t p1 = q_ + 1;
-  size_t per_slot = 2 * sizeof(uint64_t) + sizeof(uint8_t) +
-                    sizeof(uint32_t) + (p1 * p1 + 2 * p1) * sizeof(double);
-  if (config_.adaptive) {
-    per_slot += sizeof(uint64_t) + sizeof(uint8_t) + sizeof(uint32_t) +
-                ells_.size() * sizeof(double);
-  }
-  b->Reserve(n_ * per_slot);
+  const size_t p1 = q_ + 1;
+  b->Reserve(ModelsBytes());
   for (size_t i = 0; i < n_; ++i) {
     b->PutU64(consumed_[i]);
     b->PutU8(dirty_[i]);

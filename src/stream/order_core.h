@@ -164,7 +164,15 @@ class OrderCore {
   // cached candidate costs of every dirty live tuple to recompute the
   // global criterion.
   Status EnsureModel(size_t i);
-  const regress::LinearModel& model(size_t i) const { return models_[i]; }
+  // Read-only Formula 9 evaluation of slot i's model at the q gathered
+  // features x, for the quality probe: a clean model is used as it is; a
+  // dirty one is fit on scratch over its current prefix (FitOverPrefix,
+  // bit-identical to the lazy fold EnsureModel would run on the restream
+  // path). Adaptive mode fits a dirty model at the slot's last chosen l
+  // (the whole maintained order before its first evaluation) rather than
+  // re-running the candidate sweep, whose judges' costs it would have to
+  // cache. Touches no accumulator, model, dirty bit or counter.
+  Result<double> PredictReadOnly(size_t i, const double* x) const;
   // Adaptive: the l chosen at the slot's last evaluation (0 before the
   // first). Fixed-l mode: the configured l.
   size_t chosen_ell(size_t i) const;
@@ -210,12 +218,20 @@ class OrderCore {
   // snapshot (gathered rows, orders, ridge U/V bytes, counters, and the
   // adaptive caches), bitwise restorable.
   void SerializeInto(persist::SnapshotBuilder* b) const;
+  // An upper bound (exact for the bulk sections) on the bytes
+  // SerializeInto appends, so the owner can size its image up front.
+  size_t SerializedBytesBound() const;
   // Installs serialized core sections into this EMPTY core. The owner has
   // already validated its config fingerprint; this validates structural
   // consistency (bounds, edge counts) and restores bit-identical state.
   Status RestoreFrom(const persist::SnapshotView& view);
 
  private:
+  // Exact payload sizes of the bulk snapshot sections.
+  size_t RowsBytes() const;
+  size_t OrdersBytes() const;
+  size_t ModelsBytes() const;
+
   // Slot i's admission radius from its current orders: the distance an
   // arrival must beat-or-tie to change any order of i's. Infinite while
   // an order is below capacity (every arrival enters), else the worst

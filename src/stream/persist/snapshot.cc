@@ -1,7 +1,8 @@
 #include "stream/persist/snapshot.h"
 
-#include <cassert>
+#include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "common/crc32.h"
 
@@ -27,69 +28,76 @@ void AppendScalar(std::string* out, T v) {
 
 }  // namespace
 
+SnapshotBuilder::SnapshotBuilder(uint64_t ops_covered, size_t capacity_hint,
+                                 std::string buffer)
+    : out_(std::move(buffer)) {
+  out_.clear();
+  out_.reserve(std::max(capacity_hint, kHeaderLen + kFooterLen));
+  // The section count and header CRC are patched in by Finish.
+  AppendRaw(&out_, kMagic, sizeof(kMagic));
+  AppendScalar<uint32_t>(&out_, kSnapshotVersion);
+  AppendScalar<uint64_t>(&out_, ops_covered);
+  AppendScalar<uint32_t>(&out_, 0);
+  AppendScalar<uint32_t>(&out_, 0);
+}
+
+void SnapshotBuilder::CloseSection() {
+  if (!open_) return;
+  Sealed& s = sealed_.back();
+  const size_t payload_at = s.at + 12;
+  s.len = out_.size() - payload_at;
+  std::memcpy(&out_[s.at + 4], &s.len, sizeof(s.len));
+  s.crc = Crc32(out_.data() + payload_at, static_cast<size_t>(s.len));
+  AppendScalar<uint32_t>(&out_, s.crc);
+  open_ = false;
+}
+
 void SnapshotBuilder::BeginSection(uint32_t tag) {
-  sections_.emplace_back(tag, std::string());
+  CloseSection();
+  sealed_.push_back(Sealed{out_.size(), 0, 0});
+  AppendScalar<uint32_t>(&out_, tag);
+  AppendScalar<uint64_t>(&out_, 0);  // length, patched by CloseSection
+  open_ = true;
 }
 
-void SnapshotBuilder::PutU8(uint8_t v) {
-  AppendScalar(&sections_.back().second, v);
-}
+void SnapshotBuilder::PutU8(uint8_t v) { AppendScalar(&out_, v); }
 
-void SnapshotBuilder::PutU32(uint32_t v) {
-  AppendScalar(&sections_.back().second, v);
-}
+void SnapshotBuilder::PutU32(uint32_t v) { AppendScalar(&out_, v); }
 
-void SnapshotBuilder::PutU64(uint64_t v) {
-  AppendScalar(&sections_.back().second, v);
-}
+void SnapshotBuilder::PutU64(uint64_t v) { AppendScalar(&out_, v); }
 
-void SnapshotBuilder::PutF64(double v) {
-  AppendScalar(&sections_.back().second, v);
-}
+void SnapshotBuilder::PutF64(double v) { AppendScalar(&out_, v); }
 
 void SnapshotBuilder::PutDoubles(const double* p, size_t n) {
-  AppendRaw(&sections_.back().second, p, n * sizeof(double));
+  AppendRaw(&out_, p, n * sizeof(double));
 }
 
 void SnapshotBuilder::PutBytes(const void* p, size_t n) {
-  AppendRaw(&sections_.back().second, p, n);
+  AppendRaw(&out_, p, n);
 }
 
 void SnapshotBuilder::Reserve(size_t n) {
-  std::string& s = sections_.back().second;
-  s.reserve(s.size() + n);
+  out_.reserve(out_.size() + n + kSectionOverhead + kFooterLen);
 }
 
 std::string SnapshotBuilder::Finish() {
-  std::string out;
-  size_t total = kHeaderLen + kFooterLen;
-  for (const auto& s : sections_) total += kSectionOverhead + s.second.size();
-  out.reserve(total);
-
-  AppendRaw(&out, kMagic, sizeof(kMagic));
-  AppendScalar<uint32_t>(&out, kSnapshotVersion);
-  AppendScalar<uint64_t>(&out, ops_);
-  AppendScalar<uint32_t>(&out, static_cast<uint32_t>(sections_.size()));
-  AppendScalar<uint32_t>(&out, Crc32(out.data(), out.size()));
+  CloseSection();
+  const uint32_t nsections = static_cast<uint32_t>(sealed_.size());
+  std::memcpy(&out_[20], &nsections, sizeof(nsections));
+  const uint32_t header_crc = Crc32(out_.data(), kHeaderLen - 4);
+  std::memcpy(&out_[24], &header_crc, sizeof(header_crc));
 
   // The footer CRC is the CRC of every byte above; the payload parts
   // enter it through their section CRCs instead of a second pass.
-  uint32_t file_crc = Crc32(out.data(), out.size());
-  for (const auto& s : sections_) {
-    size_t at = out.size();
-    AppendScalar<uint32_t>(&out, s.first);
-    AppendScalar<uint64_t>(&out, static_cast<uint64_t>(s.second.size()));
-    file_crc = Crc32(out.data() + at, out.size() - at, file_crc);
-    out.append(s.second);
-    uint32_t crc = Crc32(s.second.data(), s.second.size());
-    file_crc = Crc32Combine(file_crc, crc, s.second.size());
-    AppendScalar<uint32_t>(&out, crc);
-    file_crc = Crc32(out.data() + out.size() - 4, 4, file_crc);
+  uint32_t file_crc = Crc32(out_.data(), kHeaderLen);
+  for (const Sealed& s : sealed_) {
+    file_crc = Crc32(out_.data() + s.at, 12, file_crc);
+    file_crc = Crc32Combine(file_crc, s.crc, static_cast<size_t>(s.len));
+    file_crc = Crc32(out_.data() + s.at + 12 + s.len, 4, file_crc);
   }
-
-  AppendScalar<uint32_t>(&out, file_crc);
-  AppendRaw(&out, kFooterMagic, sizeof(kFooterMagic));
-  return out;
+  AppendScalar<uint32_t>(&out_, file_crc);
+  AppendRaw(&out_, kFooterMagic, sizeof(kFooterMagic));
+  return std::move(out_);
 }
 
 bool SectionReader::Take(void* out, size_t n) {

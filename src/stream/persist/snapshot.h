@@ -48,18 +48,25 @@ constexpr uint32_t kSecCoreMeta = 32;    // cursors + counters (+ adaptive)
 constexpr uint32_t kSecCoreRows = 33;    // gathered (F, Am) rows + slots
 constexpr uint32_t kSecCoreOrders = 34;  // learning (+ validation) orders
 constexpr uint32_t kSecCoreModels = 35;  // ridge U/V, models, costs
-// Quality monitor (src/stream/quality.h): decayed per-column error
-// estimates, error rings, champions and switch counters. Written only by
-// engines with moo_sample_rate > 0; the challenger fits themselves are
-// restreamed from the restored window instead of being serialized.
+// Quality monitor (src/stream/quality.h): decayed error estimates, error
+// rings, the champion and switch counters. Written only by engines with
+// moo_sample_rate > 0; the challenger fits themselves are restreamed from
+// the restored window instead of being serialized.
 constexpr uint32_t kSecQuality = 48;
 
 constexpr uint32_t kSnapshotVersion = 1;
 
 // Serializes one snapshot: begin a section, put values, repeat, Finish.
+// Everything is written straight into the one image Finish returns: a
+// section's tag and length lead its payload in place (the length is
+// patched when the section closes), so sealing copies nothing.
 class SnapshotBuilder {
  public:
-  explicit SnapshotBuilder(uint64_t ops_covered) : ops_(ops_covered) {}
+  // `capacity_hint`: the expected image size in bytes, reserved up front
+  // so the image never regrows. `buffer`: storage to reuse (its contents
+  // are discarded, its capacity kept), e.g. the previous image's.
+  explicit SnapshotBuilder(uint64_t ops_covered, size_t capacity_hint = 0,
+                           std::string buffer = std::string());
 
   // Starts a new section; every Put lands in the most recent one.
   void BeginSection(uint32_t tag);
@@ -72,7 +79,7 @@ class SnapshotBuilder {
   // Raw bytes (an array of fixed-layout records, written in one append).
   void PutBytes(const void* p, size_t n);
   // Capacity hint for the current section: at least `n` more bytes are
-  // coming, so they land without regrowing the buffer.
+  // coming, so they land without regrowing the image.
   void Reserve(size_t n);
 
   // Seals the snapshot (header + sections + footer). The builder is
@@ -80,8 +87,17 @@ class SnapshotBuilder {
   std::string Finish();
 
  private:
-  uint64_t ops_;
-  std::vector<std::pair<uint32_t, std::string>> sections_;
+  struct Sealed {
+    size_t at;     // offset of the section's tag
+    uint64_t len;  // payload bytes
+    uint32_t crc;  // payload CRC
+  };
+  // Patches the open section's length and appends its payload CRC.
+  void CloseSection();
+
+  std::string out_;
+  bool open_ = false;
+  std::vector<Sealed> sealed_;
 };
 
 // Bounds-checked sequential decoder over one section's payload. Reads

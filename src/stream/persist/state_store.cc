@@ -210,8 +210,7 @@ Status StateStore::BeginSnapshot(std::string bytes) {
   std::shared_ptr<PendingWrite> p = pending_;
   pending_future_ = writer_pool_.Submit([p] {
     p->status = AtomicWriteFile(p->path, p->bytes);
-    p->bytes.clear();
-    p->bytes.shrink_to_fit();
+    p->bytes.clear();  // capacity kept: Harvest recycles the buffer
     p->done.store(true, std::memory_order_release);
   });
   return close_st;
@@ -250,6 +249,7 @@ void StateStore::Harvest(size_t* written, size_t* failed) {
   } else {
     ++*failed;
   }
+  spare_ = std::move(pending_->bytes);
   pending_.reset();
   pending_future_ = std::future<void>();
 }

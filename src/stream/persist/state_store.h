@@ -123,6 +123,11 @@ class StateStore {
   // *written or *failed per completed write (at most one can be pending)
   // and runs retention after a success.
   void Harvest(size_t* written, size_t* failed);
+  // The buffer of the last harvested background write, emptied but with
+  // its capacity kept, for the next snapshot to serialize into (empty
+  // when there is none): steady-state checkpoints then reuse one image
+  // buffer instead of faulting in a fresh one each time.
+  std::string TakeSpareImage() { return std::move(spare_); }
   // Waits out any in-flight snapshot write and syncs the active segment.
   Status Flush();
 
@@ -158,6 +163,7 @@ class StateStore {
   uint64_t last_checkpoint_ops_ = 0;
 
   std::shared_ptr<PendingWrite> pending_;
+  std::string spare_;
   std::future<void> pending_future_;
   // Lazy single worker: engines that never checkpoint never spawn it.
   // Declared last so its destructor (draining the in-flight write task)

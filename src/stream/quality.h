@@ -1,35 +1,39 @@
 // Online imputation-quality monitoring by masking-one-out holdouts
-// (ROADMAP item 2).
+// (the prequential estimator of arXiv 2511.10048).
 //
-// The streaming engines measure latency but — until this layer — never
+// The streaming engine measures latency but — without this layer — never
 // accuracy: the learned orders can go stale on a drifting stream with no
-// operator-visible signal. QualityMonitor closes that gap with the
-// prequential masking-one-out estimator: a deterministic per-arrival hash
-// samples a trickle of arriving tuples (IimOptions::moo_sample_rate), one
-// monitored cell of each sampled tuple is held out, and the holdout is
-// imputed from the PRE-arrival window by IIM plus three cheap challengers
-// (mean, kNN, GLR). Each probe's absolute error feeds per-column
-// exponentially-decayed estimates
+// operator-visible signal. QualityMonitor closes that gap: a
+// deterministic per-arrival hash samples a trickle of arriving tuples
+// (IimOptions::moo_sample_rate), the target of each sampled tuple is
+// masked, and the owning engine imputes it from its PRE-arrival window
+// with IIM plus three cheap challengers (mean, kNN, GLR). Each probe's
+// absolute error feeds exponentially-decayed estimates
 //
 //   est <- (1 - moo_decay) * est + moo_decay * err        (abs and err^2)
 //
 // plus a bounded ring of recent absolute errors for percentile reporting.
-// The monitored space is the engine's gathered projection: columns
-// 0..q-1 are the feature attributes, column q the target; a probe of
-// column c predicts it from the other q monitored columns, so a probe of
-// the target column exercises exactly the engine's imputation problem.
 //
-// The monitor is fully self-contained: it keeps its own window mirror
-// (arrival -> monitored row) and computes every probe — the mini-IIM one
-// included — from that mirror, never reaching into the engine. That makes
-// kObserveOnly trivially zero-impact: imputed values AND engine counters
-// are bit-identical to a quality-disabled engine.
+// The monitor keeps no copy of the window. The IIM and kNN estimates come
+// from the engine's own impute path (OnlineIim::Ingest): one index query
+// for the arrival's k nearest live tuples, the IIM value scored through
+// OrderCore's read-only model evaluation — so the error reported is the
+// error of the model the engine serves — and the kNN value averaged over
+// the same neighbour list. Only the mean and GLR challengers keep state
+// here: streaming fits of the target (baselines/streaming_fit) whose
+// restream source reads the engine's live rows.
 //
-// On top of the estimates sits per-column champion/challenger routing
+// A probe reads the engine and never writes it: no accumulator, model,
+// dirty bit or maintenance counter changes. kObserveOnly is therefore
+// zero-impact — imputed values and core counters are bit-identical to a
+// quality-disabled engine; the probe's own cost shows only under its own
+// metrics (moo_probes, and the probed-ingest latency).
+//
+// On top of the estimates sits champion/challenger routing
 // (IimOptions::QualityRouting::kAutoRoute): each impute request is served
-// by the target column's current champion method, with hysteresis
-// (moo_margin) and a minimum sample count (moo_min_samples) guarding
-// switches, and a Meta-Imputation-Balanced style inverse-decayed-error
+// by the current champion method, with hysteresis (moo_margin) and a
+// minimum sample count (moo_min_samples) guarding switches, and a
+// Meta-Imputation-Balanced (arXiv 2509.03316) inverse-decayed-error
 // weighted ensemble serving while a freshly switched champion settles.
 
 #ifndef IIM_STREAM_QUALITY_H_
@@ -38,7 +42,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "baselines/streaming_fit.h"
@@ -71,10 +74,10 @@ enum class QualityRoute {
   kEnsemble,  // champion churning: inverse-error weighted blend
 };
 
-// Per-monitored-column snapshot of the estimator state, surfaced through
+// Snapshot of the target's estimator state, surfaced through
 // OnlineIim::Stats and ImputationService::stats().
 struct QualityColumnStats {
-  // Holdout probes that landed on this column.
+  // Holdout probes run.
   uint64_t holdouts = 0;
   // Per method: probes answered, decayed mean absolute error, decayed
   // root-mean-squared error, and percentiles over the recent-error ring.
@@ -88,15 +91,12 @@ struct QualityColumnStats {
 };
 
 // Resolved monitor configuration (MakeQualityConfig fills it from
-// IimOptions; 0-valued probe fan-ins inherit k / ell).
+// IimOptions).
 struct QualityConfig {
-  size_t q = 0;  // predictors; the monitored space has q + 1 columns
+  size_t q = 0;  // features the challengers regress the target on
   double sample_rate = 0.0;
   double decay = 0.05;
-  size_t k = 5;    // kNN probe fan-in (and mini-IIM candidate count)
-  size_t ell = 10; // mini-IIM learning neighbors per candidate
   double alpha = 1e-6;
-  bool uniform_weights = false;
   size_t min_samples = 32;
   double margin = 0.1;
   uint64_t seed = 7;
@@ -108,43 +108,51 @@ QualityConfig MakeQualityConfig(const core::IimOptions& options, size_t q);
 
 class QualityMonitor {
  public:
-  explicit QualityMonitor(const QualityConfig& config);
+  // `live_rows` emits the owning engine's live (features, target) pairs;
+  // the challenger fits restream from it when they have to rebuild.
+  QualityMonitor(const QualityConfig& config, baselines::RowSource live_rows);
 
-  // --- Prequential protocol (callers follow this order per arrival) ---
-  // 1. Observe(arrival, mv): maybe probe the arriving monitored row
-  //    against the PRE-arrival mirror (so the row never matches itself).
-  // 2. Add(arrival, mv): fold the row into the mirror and challenger fits.
-  // Window evictions call Remove(arrival) for each evicted tuple.
-  // `mv` is the monitored row: q feature values then the target, q+1 long.
-  void Observe(uint64_t arrival, const double* mv);
-  void Add(uint64_t arrival, const double* mv);
-  void Remove(uint64_t arrival);
+  // --- Prequential protocol (the engine follows this order per arrival)
+  // 1. ShouldProbe(arrival): whether this arrival is sampled. If so, the
+  //    engine either counts it skipped (window under two tuples) or masks
+  //    its target, computes its IIM and kNN estimates from the
+  //    PRE-arrival window, and hands them to RecordProbe, which adds the
+  //    mean and GLR estimates and updates the champion.
+  // 2. Add(x, y): the arrival joins the challenger fits.
+  // Window evictions call Remove(x, y) for each evicted tuple.
+  bool ShouldProbe(uint64_t arrival) const;
+  void CountSkipped() { ++skipped_; }
+  void RecordProbe(const double* x, double truth, const Result<double>& iim,
+                   const Result<double>& knn);
+  void Add(const double* x, double y);
+  void Remove(const double* x, double y);
 
-  // --- Routing (target column q; engines consult this per request) ---
+  // --- Routing (engines consult this per request) ---
   // kIim under kObserveOnly, the champion (or the churn-window ensemble)
   // under kAutoRoute.
   QualityRoute RouteTarget() const;
-  // Serves the target from the mirror for a non-IIM, non-ensemble route.
-  // `features` are the q gathered feature values. Fails (NotFound) on an
-  // empty mirror — callers fall back to the IIM path.
-  Result<double> ServeTarget(const double* features, QualityRoute route);
+  // Serves the target at features x for the kMean and kGlr routes. Fails
+  // (NotFound) on an empty window — callers fall back to the IIM path.
+  Result<double> ServeTarget(const double* x, QualityRoute route);
   // Inverse-decayed-squared-error weighted blend of every method's value,
-  // folding in the engine-computed IIM value.
-  Result<double> EnsembleTarget(const double* features, double iim_value);
+  // folding in the engine-computed IIM and kNN values.
+  Result<double> EnsembleTarget(const double* x, double iim_value,
+                                const Result<double>& knn_value);
 
   // --- Telemetry ---
   uint64_t probes() const { return probes_; }
   uint64_t skipped() const { return skipped_; }
   uint64_t champion_switches() const { return champion_switches_; }
-  // One entry per monitored column (q features then the target).
+  // One entry: the target.
   std::vector<QualityColumnStats> ColumnStats() const;
-  size_t live() const { return mirror_.size(); }
 
   // --- Persistence ---
-  // Writes one kSecQuality section: estimates, rings, champions,
-  // counters. The mirror and challenger fits are NOT serialized — the
-  // owning engine re-Adds every restored live tuple instead (restreamed
-  // challenger numerics; the estimates themselves restore bitwise).
+  // Writes one kSecQuality section (layout v2): counters, estimates,
+  // rings and the champion. The challenger fits are NOT serialized:
+  // RestoreFrom marks them stale and they restream from the restored
+  // window on first use (so their numerics match a fresh engine fed the
+  // same window, not necessarily the writer's accumulator bits; the
+  // estimates themselves restore bitwise).
   void SerializeInto(persist::SnapshotBuilder* builder) const;
   Status RestoreFrom(persist::SectionReader* reader);
 
@@ -156,50 +164,26 @@ class QualityMonitor {
     std::vector<double> ring;  // recent absolute errors, capacity kRing
     size_t ring_pos = 0;
   };
-  struct ColumnState {
-    uint64_t holdouts = 0;
-    std::array<MethodState, kQualityMethods> methods;
-    int champion = kQualityIim;
-    uint64_t switches = 0;
-    uint64_t last_switch_holdout = 0;
-  };
 
   static constexpr size_t kRing = 512;
 
-  bool ShouldProbe(uint64_t arrival) const;
-  size_t HoldoutColumn(uint64_t arrival) const;
-  // Positions (into rows_scratch_) of the k nearest mirror rows to `mv`
-  // in the predictor space of column c, ascending (distance, position).
-  // `exclude` skips one position (kNoExclude = none).
-  void CollectRows() const;
-  std::vector<std::pair<size_t, double>> TopK(const double* mv, size_t c,
-                                              size_t k,
-                                              size_t exclude) const;
-  Result<double> ProbeMethod(int method, const double* mv, size_t c);
-  Result<double> ProbeIim(const double* mv, size_t c) const;
-  Result<double> ProbeKnn(const double* mv, size_t c) const;
-  void Record(ColumnState* col, int method, double abs_err);
-  void UpdateChampion(ColumnState* col);
-  baselines::StreamingRidgeFit::RowSource MirrorSource() const;
-
-  static constexpr size_t kNoExclude = static_cast<size_t>(-1);
+  void Record(int method, double abs_err);
+  void UpdateChampion();
 
   QualityConfig config_;
-  size_t d_;  // q + 1 monitored columns
-  // Window mirror keyed by arrival number; map order = arrival order,
-  // which is the tie-break every probe scan uses.
-  std::map<uint64_t, std::vector<double>> mirror_;
+  baselines::RowSource live_rows_;
   baselines::StreamingMeanFit mean_fit_;
   baselines::StreamingRidgeFit ridge_fit_;
-  std::vector<ColumnState> columns_;  // d_ entries
+  // Set by RestoreFrom: the mean fit restreams before its next use (the
+  // ridge fit tracks its own staleness).
+  bool mean_stale_ = false;
+
+  std::array<MethodState, kQualityMethods> methods_;
+  int champion_ = kQualityIim;
+  uint64_t last_switch_probe_ = 0;
   uint64_t probes_ = 0;
   uint64_t skipped_ = 0;
   uint64_t champion_switches_ = 0;
-  // Probe scan scratch (rebuilt per probe; keeps allocations out of the
-  // steady state).
-  mutable std::vector<const double*> rows_scratch_;
-  mutable std::vector<double> gather_a_;  // query predictors
-  mutable std::vector<double> gather_b_;  // candidate predictors
 };
 
 }  // namespace iim::stream

@@ -31,7 +31,11 @@ data::Table LinearTable(size_t n, uint64_t seed, double noise = 0.0) {
     double a = rng.Uniform(-5, 5), b = rng.Uniform(-5, 5);
     t.Set(i, 0, a);
     t.Set(i, 1, b);
-    t.Set(i, 2, 1.0 + 2.0 * a - b + rng.Gaussian(0, noise));
+    // No draw at noise 0: a stddev-0 normal_distribution breaks
+    // libstdc++'s stddev > 0 precondition (an abort under
+    // _GLIBCXX_ASSERTIONS).
+    t.Set(i, 2, 1.0 + 2.0 * a - b + (noise > 0.0 ? rng.Gaussian(0, noise)
+                                                  : 0.0));
   }
   return t;
 }

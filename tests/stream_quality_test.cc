@@ -9,11 +9,14 @@
 //     trickle and the offline protocol measure the same quantity.
 //   - The zero-impact contract: a kObserveOnly engine answers every
 //     impute bit-identically to a quality-disabled engine, and its core
-//     maintenance counters match exactly — monitoring must never perturb
-//     what it monitors.
+//     maintenance counters match exactly, on the restream, down-date and
+//     adaptive paths — the probe runs through the engine's read-only
+//     impute path and must never perturb what it monitors.
 //   - Routing: on a deliberately drifted stream the kAutoRoute engine
-//     switches at least one column's champion off IIM and serves the
-//     drifted tail with LOWER held-out error than the kObserveOnly twin.
+//     switches the target's champion off IIM and serves the drifted tail
+//     with LOWER held-out error than the kObserveOnly twin; a kNN
+//     champion answers from the engine's own index, exactly the mean
+//     target of a brute-force k-NN over the live window.
 //   - Time-based eviction: EvictWhere / EvictOlderThan agree with the
 //     same victims retired by explicit Evict calls and tolerate holes
 //     anywhere in the window (no FIFO-prefix assumption), with
@@ -21,11 +24,14 @@
 //   - The service's overload fallback: the column-mean fit is cached per
 //     quiescent span — fits advance with window *changes*, not with the
 //     number of fallback batches served.
-//   - Persistence: quality estimates snapshot and restore bitwise, and a
-//     restored engine's subsequent probes match the original's exactly.
+//   - Persistence: quality estimates snapshot and restore bitwise, a
+//     restored engine's subsequent probes match the original's exactly,
+//     and images of retired layouts (the v1 quality section, the v3
+//     fingerprint with the moo_knn/moo_ell fan-ins) are refused.
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -36,8 +42,10 @@
 #include "common/rng.h"
 #include "data/table.h"
 #include "eval/metrics.h"
+#include "neighbors/knn.h"
 #include "stream/imputation_service.h"
 #include "stream/online_iim.h"
+#include "stream/persist/snapshot.h"
 #include "stream_test_util.h"
 
 namespace iim::stream {
@@ -123,23 +131,25 @@ void ExpectSameQuality(const OnlineIim::Stats& want,
 
 // --- Zero-impact contract ---------------------------------------------
 
-TEST(QualityObserveOnlyTest, BitIdenticalToQualityDisabledEngine) {
+// Drives a monitored and a quality-disabled engine through the same
+// schedule of ingests, evictions and imputes; every answer and every core
+// maintenance counter must match bitwise.
+void ExpectObserveOnlyZeroImpact(const core::IimOptions& monitored) {
   data::Table full = HeterogeneousTable(260, 3, 17);
-  core::IimOptions monitored = QualityOptions();
-  monitored.window_size = 80;
   core::IimOptions plain = monitored;
   plain.moo_sample_rate = 0.0;
 
   auto a_r = OnlineIim::Create(full.schema(), kTarget, kFeatures, monitored);
   auto b_r = OnlineIim::Create(full.schema(), kTarget, kFeatures, plain);
-  ASSERT_TRUE(a_r.ok());
-  ASSERT_TRUE(b_r.ok());
+  ASSERT_TRUE(a_r.ok()) << a_r.status().ToString();
+  ASSERT_TRUE(b_r.ok()) << b_r.status().ToString();
   OnlineIim& a = *a_r.value();
   OnlineIim& b = *b_r.value();
 
   std::vector<ScheduleOp> ops = MakeSchedule(99, 240, /*min_live=*/10,
                                              /*evict_p=*/0.2,
                                              /*impute_every=*/17);
+  size_t compared = 0;
   for (const ScheduleOp& op : ops) {
     if (op.kind == ScheduleOp::kIngest) {
       ASSERT_TRUE(a.Ingest(full.Row(op.src_row)).ok());
@@ -153,9 +163,13 @@ TEST(QualityObserveOnlyTest, BitIdenticalToQualityDisabledEngine) {
       Result<double> vb =
           b.ImputeOne(data::RowView(probe.data(), probe.size()));
       ASSERT_EQ(va.ok(), vb.ok());
-      if (va.ok()) EXPECT_EQ(va.value(), vb.value());
+      if (va.ok()) {
+        EXPECT_EQ(va.value(), vb.value());
+        ++compared;
+      }
     }
   }
+  EXPECT_GT(compared, 0u);
   // Monitoring left no trace in the engine: every maintenance counter the
   // core exposes is identical, and nothing was ever routed.
   OnlineIim::Stats sa = a.stats();
@@ -165,11 +179,47 @@ TEST(QualityObserveOnlyTest, BitIdenticalToQualityDisabledEngine) {
   EXPECT_EQ(sa.routed_serves, 0u);
   EXPECT_EQ(sa.ensemble_serves, 0u);
   EXPECT_EQ(sa.imputed, sb.imputed);
+  EXPECT_EQ(sa.evicted, sb.evicted);
   EXPECT_EQ(sa.models_solved, sb.models_solved);
+  EXPECT_EQ(sa.models_invalidated, sb.models_invalidated);
   EXPECT_EQ(sa.global_fits_reused, sb.global_fits_reused);
   EXPECT_EQ(sa.holders_invalidated, sb.holders_invalidated);
   EXPECT_EQ(sa.fast_path_appends, sb.fast_path_appends);
+  EXPECT_EQ(sa.downdates, sb.downdates);
+  EXPECT_EQ(sa.downdate_fallbacks, sb.downdate_fallbacks);
   EXPECT_EQ(sa.backfills, sb.backfills);
+  EXPECT_EQ(sa.compactions, sb.compactions);
+  EXPECT_EQ(sa.postings_edges, sb.postings_edges);
+  EXPECT_EQ(sa.adaptive_l_changes, sb.adaptive_l_changes);
+  EXPECT_EQ(sa.orders_scanned, sb.orders_scanned);
+  EXPECT_EQ(sa.orders_admitted, sb.orders_admitted);
+  EXPECT_EQ(sa.admission_skips, sb.admission_skips);
+}
+
+TEST(QualityObserveOnlyTest, BitIdenticalToQualityDisabledEngine) {
+  core::IimOptions opt = QualityOptions();
+  opt.window_size = 80;
+  ExpectObserveOnlyZeroImpact(opt);
+}
+
+// The down-date path repairs accumulators in place on eviction; a probe
+// that folded, solved or cleaned a model would change which rows those
+// repairs meet.
+TEST(QualityObserveOnlyTest, BitIdenticalToQualityDisabledEngineDowndate) {
+  core::IimOptions opt = QualityOptions();
+  opt.window_size = 80;
+  opt.downdate = true;
+  ExpectObserveOnlyZeroImpact(opt);
+}
+
+// Adaptive engines probe dirty models at their last chosen l without
+// running (or caching) a candidate sweep.
+TEST(QualityObserveOnlyTest, BitIdenticalToQualityDisabledEngineAdaptive) {
+  core::IimOptions opt = QualityOptions();
+  opt.window_size = 80;
+  opt.adaptive = true;
+  opt.max_ell = 12;
+  ExpectObserveOnlyZeroImpact(opt);
 }
 
 // --- Estimator convergence vs. the batch masking protocol -------------
@@ -207,7 +257,7 @@ TEST_P(QualityConvergenceTest, DecayedErrorTracksBatchMaskingError) {
   ASSERT_TRUE(batch_rms.ok());
 
   std::vector<QualityColumnStats> quality = engine.value()->stats().quality;
-  ASSERT_EQ(quality.size(), kFeatures.size() + 1);
+  ASSERT_EQ(quality.size(), 1u);  // the target is the one probed column
   const QualityColumnStats& target_col = quality.back();
   ASSERT_GT(target_col.samples[kQualityMean], 30u);
   // The decayed online estimate and the batch protocol measure the same
@@ -298,6 +348,113 @@ TEST(QualityRoutingTest, AutoRouteSwitchesOffIimAndLowersDriftError) {
   double rms_observer = std::sqrt(sq_observer / static_cast<double>(served));
   double rms_router = std::sqrt(sq_router / static_cast<double>(served));
   EXPECT_LT(rms_router, rms_observer);
+}
+
+// The payload of section `tag` of a serialized image.
+std::string SectionBytes(const std::string& image, uint32_t tag) {
+  Result<persist::SnapshotView> view = persist::SnapshotView::Parse(image);
+  EXPECT_TRUE(view.ok());
+  if (!view.ok()) return std::string();
+  Result<persist::SectionReader> r = view.value().Section(tag);
+  EXPECT_TRUE(r.ok());
+  if (!r.ok()) return std::string();
+  std::string bytes(r.value().remaining(), '\0');
+  r.value().Bytes(bytes.data(), bytes.size());
+  return bytes;
+}
+
+// Re-seals `image` with section `tag` carrying `payload` and every other
+// section copied verbatim: how these tests forge images that a
+// differently configured (or older) engine would have written.
+std::string WithSection(const std::string& image, uint32_t tag,
+                        const std::string& payload) {
+  Result<persist::SnapshotView> view = persist::SnapshotView::Parse(image);
+  EXPECT_TRUE(view.ok());
+  if (!view.ok()) return std::string();
+  persist::SnapshotBuilder b(view.value().ops_covered());
+  for (uint32_t t : {persist::kSecMeta, persist::kSecEngine, persist::kSecRows,
+                     persist::kSecCoreMeta, persist::kSecCoreRows,
+                     persist::kSecCoreOrders, persist::kSecCoreModels,
+                     persist::kSecQuality}) {
+    if (!view.value().Section(t).ok()) continue;
+    const std::string bytes = t == tag ? payload : SectionBytes(image, t);
+    b.BeginSection(t);
+    b.PutBytes(bytes.data(), bytes.size());
+  }
+  return b.Finish();
+}
+
+// kSecQuality v2 field offsets: u32 layout | u64 probes | u64 skipped |
+// u64 switches | u64 last-switch probe | u32 champion | methods...
+constexpr size_t kQualitySwitchesAt = 4 + 8 + 8;
+constexpr size_t kQualityChampionAt = kQualitySwitchesAt + 8 + 8;
+
+TEST(QualityRoutingTest, KnnChampionServesBruteForceNeighborMean) {
+  data::Table full = StationaryTable(150, 43);
+  core::IimOptions opt = QualityOptions();
+  opt.window_size = 64;
+  opt.quality_routing = core::IimOptions::QualityRouting::kAutoRoute;
+  // Beyond the probes this test runs: no method ever qualifies to
+  // unseat the planted champion.
+  opt.moo_min_samples = 1000;
+  auto a_r = OnlineIim::Create(full.schema(), kTarget, kFeatures, opt);
+  ASSERT_TRUE(a_r.ok());
+  for (size_t i = 0; i < 100; ++i) {
+    ASSERT_TRUE(a_r.value()->Ingest(full.Row(i)).ok());
+  }
+  // Crown kNN directly in the image (no churn window: zero switches), so
+  // the restored engine routes every request to it.
+  const std::string image = a_r.value()->SerializeSnapshot();
+  std::string quality = SectionBytes(image, persist::kSecQuality);
+  ASSERT_GT(quality.size(), kQualityChampionAt + 4);
+  const uint64_t no_switches = 0;
+  const uint32_t knn = kQualityKnn;
+  std::memcpy(&quality[kQualitySwitchesAt], &no_switches, sizeof(no_switches));
+  std::memcpy(&quality[kQualityChampionAt], &knn, sizeof(knn));
+
+  auto b_r = OnlineIim::Create(full.schema(), kTarget, kFeatures, opt);
+  ASSERT_TRUE(b_r.ok());
+  OnlineIim& engine = *b_r.value();
+  ASSERT_TRUE(engine.RestoreFromSnapshot(
+                        WithSection(image, persist::kSecQuality, quality))
+                  .ok());
+  // Holes and evictions: the kNN answer must follow the live window.
+  ASSERT_TRUE(engine.Evict(70).ok());
+  ASSERT_TRUE(engine.Evict(85).ok());
+  for (size_t i = 100; i < 110; ++i) {
+    ASSERT_TRUE(engine.Ingest(full.Row(i)).ok());
+  }
+  ASSERT_EQ(engine.stats().quality.back().champion, kQualityKnn);
+
+  const data::Table live = engine.table();
+  neighbors::BruteForceIndex brute(&live, kFeatures);
+  neighbors::QueryOptions qopt;
+  qopt.k = opt.k;
+  std::vector<std::vector<double>> probes;
+  for (size_t i = 110; i < 150; i += 3) {
+    probes.push_back(Probe(full, i, kTarget));
+  }
+  std::vector<data::RowView> views;
+  for (const std::vector<double>& p : probes) {
+    views.emplace_back(p.data(), p.size());
+  }
+  std::vector<Result<double>> batch = engine.ImputeBatch(views);
+  ASSERT_EQ(batch.size(), views.size());
+  for (size_t p = 0; p < views.size(); ++p) {
+    std::vector<neighbors::Neighbor> nn = brute.Query(views[p], qopt);
+    ASSERT_EQ(nn.size(), opt.k);
+    double sum = 0.0;
+    for (const neighbors::Neighbor& nb : nn) {
+      sum += live.At(nb.index, static_cast<size_t>(kTarget));
+    }
+    const double want = sum / static_cast<double>(nn.size());
+    Result<double> one = engine.ImputeOne(views[p]);
+    ASSERT_TRUE(one.ok());
+    ASSERT_TRUE(batch[p].ok());
+    EXPECT_EQ(one.value(), want) << "probe " << p;
+    EXPECT_EQ(batch[p].value(), want) << "probe " << p;
+  }
+  EXPECT_EQ(engine.stats().routed_serves, 2 * views.size());
 }
 
 // --- Time-based eviction ----------------------------------------------
@@ -458,7 +615,7 @@ TEST(QualityServiceTest, QualityStatsSurfaceThroughService) {
   ImputationService::Stats s = service.stats();
   service.Resume();
   EXPECT_GT(s.moo_probes, 0u);
-  ASSERT_EQ(s.quality.size(), kFeatures.size() + 1);
+  ASSERT_EQ(s.quality.size(), 1u);
   EXPECT_GT(s.quality.back().samples[kQualityIim], 0u);
   EXPECT_GT(s.quality.back().samples[kQualityMean], 0u);
   EXPECT_GT(s.quality.back().samples[kQualityKnn], 0u);
@@ -560,6 +717,104 @@ TEST(QualitySnapshotTest, RestoreRefusesMismatchedQualityConfig) {
   Status st = b_r.value()->RestoreFromSnapshot(bytes);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("moo_sample_rate"), std::string::npos);
+}
+
+// Images of retired layouts are refused outright, never half-read: the v1
+// quality section (one estimator block per gathered column — features
+// were probed too) and the v3 fingerprint, which carried the moo_knn /
+// moo_ell probe fan-ins.
+TEST(QualitySnapshotTest, RetiredLayoutsAreRefused) {
+  data::Table full = StationaryTable(40, 47);
+  core::IimOptions opt = QualityOptions();
+  opt.window_size = 0;
+  auto a_r = OnlineIim::Create(full.schema(), kTarget, kFeatures, opt);
+  ASSERT_TRUE(a_r.ok());
+  for (size_t i = 0; i < 40; ++i) {
+    ASSERT_TRUE(a_r.value()->Ingest(full.Row(i)).ok());
+  }
+  const std::string image = a_r.value()->SerializeSnapshot();
+  auto refused = [&](const std::string& forged, const char* what) {
+    auto e_r = OnlineIim::Create(full.schema(), kTarget, kFeatures, opt);
+    ASSERT_TRUE(e_r.ok());
+    Status st = e_r.value()->RestoreFromSnapshot(forged);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+        << what << ": " << st.ToString();
+  };
+  auto put = [](std::string* out, const void* p, size_t n) {
+    out->append(static_cast<const char*>(p), n);
+  };
+
+  // v1 quality section: layout 1, d = q + 1 monitored columns, counters,
+  // then per column its champion state and four empty method blocks.
+  std::string v1;
+  const uint32_t layout1 = 1;
+  const uint64_t d = kFeatures.size() + 1;
+  const uint64_t zero64 = 0;
+  const uint32_t zero32 = 0;
+  const double zero = 0.0;
+  put(&v1, &layout1, 4);
+  put(&v1, &d, 8);
+  for (int i = 0; i < 3; ++i) put(&v1, &zero64, 8);
+  for (uint64_t c = 0; c < d; ++c) {
+    put(&v1, &zero64, 8);
+    put(&v1, &zero32, 4);
+    put(&v1, &zero64, 8);
+    put(&v1, &zero64, 8);
+    for (int m = 0; m < kQualityMethods; ++m) {
+      put(&v1, &zero64, 8);
+      put(&v1, &zero, 8);
+      put(&v1, &zero, 8);
+      put(&v1, &zero64, 8);
+    }
+  }
+  refused(WithSection(image, persist::kSecQuality, v1), "v1 quality section");
+
+  // v3 fingerprint: the current one under layout 3, with the two u64
+  // fan-ins after moo_decay. Walk the v4 fields up to moo_decay to find
+  // the insertion point.
+  const std::string meta = SectionBytes(image, persist::kSecMeta);
+  persist::SectionReader r(meta.data(), meta.size());
+  r.U32();  // layout
+  r.U64();  // arity
+  r.U32();  // target
+  const uint64_t q = r.U64();
+  for (uint64_t j = 0; j < q; ++j) r.U32();
+  r.U64();  // k
+  r.U64();  // ell
+  r.F64();  // alpha
+  r.U8();   // weighting
+  r.U64();  // window
+  r.U8();   // downdate
+  r.U8();   // adaptive
+  r.U64();  // max_ell
+  r.U64();  // step_h
+  r.U64();  // validation fan-out
+  r.F64();  // moo_sample_rate
+  r.F64();  // moo_decay
+  ASSERT_TRUE(r.ok());
+  const size_t at = meta.size() - r.remaining();
+  std::string fanins;
+  put(&fanins, &zero64, 8);  // moo_knn
+  put(&fanins, &zero64, 8);  // moo_ell
+  std::string v3 = meta.substr(0, at) + fanins + meta.substr(at);
+  const uint32_t layout3 = 3;
+  std::memcpy(&v3[0], &layout3, 4);
+  refused(WithSection(image, persist::kSecMeta, v3), "v3 fingerprint");
+  // The same fan-ins under the current layout number are a forgery.
+  std::string forged = v3;
+  const uint32_t layout4 = 4;
+  std::memcpy(&forged[0], &layout4, 4);
+  refused(WithSection(image, persist::kSecMeta, forged),
+          "fan-ins in a v4 fingerprint");
+
+  // And the untouched image still restores (the forging helper itself is
+  // sound).
+  auto ok_r = OnlineIim::Create(full.schema(), kTarget, kFeatures, opt);
+  ASSERT_TRUE(ok_r.ok());
+  EXPECT_TRUE(ok_r.value()
+                  ->RestoreFromSnapshot(WithSection(
+                      image, persist::kSecMeta, meta))
+                  .ok());
 }
 
 }  // namespace

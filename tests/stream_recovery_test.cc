@@ -476,13 +476,15 @@ TEST(WalKillPointTest, TruncationAtEveryByteRecoversTheAckedPrefix) {
 // ---------------------------------------------------------------------------
 // Randomized kill points with snapshots in play
 
-class KillPointRecovery : public ::testing::TestWithParam<bool> {};
-
-TEST_P(KillPointRecovery, RecoveredEngineMatchesNeverCrashed) {
-  const bool downdate = GetParam();
+// Crashes an engine configured by `opt` at random points of three
+// schedules, recovers it from disk alone each time, and compares it with
+// a never-crashed twin. Monitored engines (moo_sample_rate > 0) must also
+// agree on their probes: the replay re-probes the same arrivals through
+// the same read-only impute path, so the IIM and kNN estimates match
+// bitwise (the mean/GLR fits restream after a restore and may differ in
+// the low bits).
+void RunKillPoints(const core::IimOptions& opt) {
   data::Table src = HeterogeneousTable(200, 4, 31);
-  core::IimOptions opt = RecoveryOptions();
-  opt.downdate = downdate;
   std::vector<std::vector<double>> probes = MakeProbes(src, 3);
 
   for (uint64_t seed : {1u, 2u, 3u}) {
@@ -520,15 +522,28 @@ TEST_P(KillPointRecovery, RecoveredEngineMatchesNeverCrashed) {
         ASSERT_TRUE(rec.ok()) << rec.status().ToString();
         crashy = std::move(rec).value();
         ASSERT_EQ(crashy->durable_ops(), applied);
-        const OnlineIim::Stats& rs = crashy->stats();
+        const std::string where =
+            "seed " + std::to_string(seed) + " kill at " +
+            std::to_string(applied);
+        const OnlineIim::Stats rs = crashy->stats();
         if (applied >= popt.snapshot_every) {
-          EXPECT_EQ(rs.snapshots_loaded, 1u)
-              << "seed " << seed << " kill at " << applied;
+          EXPECT_EQ(rs.snapshots_loaded, 1u) << where;
           EXPECT_LT(rs.log_records_replayed, applied);
         }
-        ExpectEngineStateEq(crashy.get(), steady.get(), probes,
-                            "seed " + std::to_string(seed) + " kill at " +
-                                std::to_string(applied));
+        if (opt.moo_sample_rate > 0.0) {
+          const OnlineIim::Stats ss = steady->stats();
+          EXPECT_EQ(rs.moo_probes, ss.moo_probes) << where;
+          EXPECT_EQ(rs.moo_skipped, ss.moo_skipped) << where;
+          ASSERT_EQ(rs.quality.size(), 1u) << where;
+          ASSERT_EQ(ss.quality.size(), 1u) << where;
+          for (int m : {kQualityIim, kQualityKnn}) {
+            EXPECT_EQ(rs.quality[0].samples[m], ss.quality[0].samples[m])
+                << where << " " << QualityMethodName(m);
+            EXPECT_EQ(rs.quality[0].ewma_abs[m], ss.quality[0].ewma_abs[m])
+                << where << " " << QualityMethodName(m);
+          }
+        }
+        ExpectEngineStateEq(crashy.get(), steady.get(), probes, where);
       }
       Status sc = ApplyOp(crashy.get(), src, op);
       Status ss = ApplyOp(steady.get(), src, op);
@@ -539,6 +554,25 @@ TEST_P(KillPointRecovery, RecoveredEngineMatchesNeverCrashed) {
                         "seed " + std::to_string(seed) + " final");
     ASSERT_TRUE(crashy->FlushPersistence().ok());
   }
+}
+
+class KillPointRecovery : public ::testing::TestWithParam<bool> {};
+
+TEST_P(KillPointRecovery, RecoveredEngineMatchesNeverCrashed) {
+  core::IimOptions opt = RecoveryOptions();
+  opt.downdate = GetParam();
+  RunKillPoints(opt);
+}
+
+// The same kill points with quality monitoring on: probes run inside
+// Ingest, so the log replay re-probes exactly the arrivals the crashed
+// engine probed, and no probe may leave a trace that changes what the
+// recovered engine serves.
+TEST_P(KillPointRecovery, MonitoredEngineMatchesNeverCrashed) {
+  core::IimOptions opt = RecoveryOptions();
+  opt.downdate = GetParam();
+  opt.moo_sample_rate = 0.3;
+  RunKillPoints(opt);
 }
 
 INSTANTIATE_TEST_SUITE_P(DowndateOnOff, KillPointRecovery,
